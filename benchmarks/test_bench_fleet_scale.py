@@ -18,8 +18,10 @@ The batch audit asserts the batched-placement contract directly from
 the decision stream: every admission rides an ``initial`` decision
 whose ``batch_size`` sums to the total admitted count — one
 region-scoring pass per round, no matter how many tenants' workloads
-rode it.  The bench also caps the decision log (satellite of the same
-PR) so ``decisions_dropped`` is exercised at scale, and trims the
+rode it.  The bench also caps the decision log and checks that
+``decisions_dropped`` is exactly the number of decisions made past the
+cap — derived from the decision stream, so the check holds at any
+scale, including ones where the cap never engages — and trims the
 telemetry bus as it goes — the audit folds events incrementally, so
 peak RSS measures the control plane, not the event archive.
 
@@ -76,11 +78,12 @@ def run_fleet_scale(extra: dict) -> int:
     # initial-placement decision as it is emitted, then the bus is
     # cleared whenever it grows past the threshold so the archive never
     # dominates peak RSS (the flight-recorder trim_bus pattern).
-    audit = {"rounds": 0, "batched": 0, "max_batch": 0, "times": set()}
+    audit = {"decisions": 0, "rounds": 0, "batched": 0, "max_batch": 0, "times": set()}
     bus = provider.telemetry.bus
 
     def observe(event) -> None:
         if event.type is EventType.DECISION_EVALUATED:
+            audit["decisions"] += 1
             payload = event.attrs.get("decision", {})
             if payload.get("kind") == "initial":
                 batch = payload.get(
@@ -138,10 +141,12 @@ def run_fleet_scale(extra: dict) -> int:
         f"({audit['rounds']} rounds over {len(audit['times'])} distinct ticks)"
     )
     assert all(row["in_flight"] <= QUOTA for row in usage.values())
-    if N_LIFECYCLES >= 10_000:
-        assert decisions.decisions_dropped > 0, (
-            "decision-log ring cap never engaged at fleet scale"
-        )
+    # The ring cap evicts exactly the decisions past it.
+    expected_dropped = max(0, audit["decisions"] - DECISION_CAP)
+    assert decisions.decisions_dropped == expected_dropped, (
+        f"decision log dropped {decisions.decisions_dropped}, expected "
+        f"{expected_dropped} ({audit['decisions']} decisions, cap {DECISION_CAP})"
+    )
     return done
 
 

@@ -245,6 +245,7 @@ class FleetController:
         *dags*.
         """
         self._dag.restore(dags)
+        self._interruption.recover_lost_instances()
 
     def resume_dags(
         self,
@@ -281,6 +282,7 @@ class FleetController:
                 durable; definitions are code the client re-supplies).
         """
         self._lifecycle.restore(workloads)
+        self._interruption.recover_lost_instances()
 
     def resume(
         self,

@@ -15,7 +15,7 @@ survive a control-plane redeploy.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.cloud.retry import note_dead_letter
 from repro.cloud.services.stepfunctions import RetryPolicy
@@ -26,6 +26,7 @@ from repro.obs.tracing import traced_hop
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cloud.provider import CloudProvider
+    from repro.core.execution import WorkloadExecution
     from repro.core.fleet.capacity import CapacityService
     from repro.core.fleet.lifecycle import LifecycleService
     from repro.core.fleet.state import FleetStateStore
@@ -172,42 +173,88 @@ class InterruptionService:
             note_dead_letter(self._telemetry, "reconcile:sweep", str(exc))
             return 0
 
+    def recover_lost_instances(self) -> int:
+        """Restage restored executions whose instance is no longer live.
+
+        Runs once when a controller is rebuilt from the store.  An
+        execution stored as booting/running may be bound to an instance
+        that died while no controller was bound: a ``run``/``wait``
+        deadline terminates live instances when it assembles the
+        result, and a reclaim warning that arrives during a teardown is
+        ignored.  Its timers would otherwise finish segments on a dead,
+        unbilled instance.  Each such execution is treated as
+        interrupted and capacity is re-acquired for it.
+
+        Returns:
+            Number of executions restaged.
+        """
+        lost = self._on_dead_instances()
+        for execution in lost:
+            self._restage(
+                execution,
+                counter=("recovered_lost_instances_total",
+                         "restored executions whose instance died while unbound"),
+                hop="interruption:recover",
+                recovered=True,
+            )
+        return len(lost)
+
+    def _on_dead_instances(self) -> List["WorkloadExecution"]:
+        """Booting/running executions whose instance is no longer live."""
+        return [
+            execution
+            for execution in self._lifecycle.executions()
+            if execution.instance is not None
+            and not execution.instance.is_live
+            and execution.state in (ExecutionState.BOOTING, ExecutionState.RUNNING)
+        ]
+
+    def _restage(
+        self, execution: "WorkloadExecution", counter: Tuple[str, str], hop: str, **attrs: Any
+    ) -> None:
+        """Interrupt *execution* off its dead instance and re-acquire.
+
+        The re-acquisition is a migration away from the region the
+        instance died in; *counter* and *hop* name the metric and trace
+        hop of the path that found it, *attrs* tag ``migration.started``.
+        """
+        instance = execution.instance
+        workload_id = execution.workload.workload_id
+        self._store.pop_instance(instance.instance_id)
+        lost_region = execution.handle_interruption_notice()
+        self._telemetry.bus.emit(
+            EventType.MIGRATION_STARTED,
+            workload_id=workload_id,
+            region=lost_region,
+            instance_id=instance.instance_id,
+            **attrs,
+        )
+        self._telemetry.metrics.counter(*counter).inc(region=lost_region)
+        with traced_hop(
+            self._telemetry.tracer,
+            hop,
+            "interruption",
+            trace_id=workload_id,
+            instance_id=instance.instance_id,
+            region=lost_region,
+        ):
+            self._provider.stepfunctions.start_execution(
+                "spotverse-reacquire",
+                input={"workload_id": workload_id, "exclude_region": lost_region},
+            )
+
     def _reconcile_once(self) -> int:
         repaired = 0
         reacquiring = set()
-        for execution in self._lifecycle.executions():
-            instance = execution.instance
-            if instance is None or instance.is_live:
-                continue
-            if execution.state not in (ExecutionState.BOOTING, ExecutionState.RUNNING):
-                continue
-            workload_id = execution.workload.workload_id
-            self._store.pop_instance(instance.instance_id)
-            lost_region = execution.handle_interruption_notice()
-            self._telemetry.bus.emit(
-                EventType.MIGRATION_STARTED,
-                workload_id=workload_id,
-                region=lost_region,
-                instance_id=instance.instance_id,
+        for execution in self._on_dead_instances():
+            self._restage(
+                execution,
+                counter=("reconciled_interruptions_total",
+                         "missed interruptions repaired by the sweep"),
+                hop="interruption:reconcile",
                 reconciled=True,
             )
-            self._telemetry.metrics.counter(
-                "reconciled_interruptions_total",
-                "missed interruptions repaired by the sweep",
-            ).inc(region=lost_region)
-            with traced_hop(
-                self._telemetry.tracer,
-                "interruption:reconcile",
-                "interruption",
-                trace_id=workload_id,
-                instance_id=instance.instance_id,
-                region=lost_region,
-            ):
-                self._provider.stepfunctions.start_execution(
-                    "spotverse-reacquire",
-                    input={"workload_id": workload_id, "exclude_region": lost_region},
-                )
-            reacquiring.add(workload_id)
+            reacquiring.add(execution.workload.workload_id)
             repaired += 1
         tracked = {workload_id for _, workload_id in self._store.tracked_requests()}
         for execution in self._lifecycle.executions():

@@ -27,7 +27,7 @@ code behind it is replaced.
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, MutableMapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, MutableMapping, Optional, Set, Tuple
 
 from repro.cloud.retry import RetryPolicy, call_with_retries, note_dead_letter, note_retry
 from repro.errors import ExperimentError, ThrottlingError
@@ -82,8 +82,8 @@ class _MetaMapping(MutableMapping):
                 raise KeyError(key)
             return staged["value"]
         item = store._read(
-            lambda: store._dynamodb.get_item(store.meta_table, self._section, key),
-            scope=f"fleet-state:meta:{self._section}",
+            f"fleet-state:meta:{self._section}",
+            store._dynamodb.get_item, store.meta_table, self._section, key,
         )
         if item is None:
             raise KeyError(key)
@@ -106,12 +106,13 @@ class _MetaMapping(MutableMapping):
         )
 
     def __iter__(self) -> Iterator[str]:
-        rows = self._store._read(
-            lambda: self._store._dynamodb.query(self._store.meta_table, self._section),
-            scope=f"fleet-state:meta:{self._section}",
+        store = self._store
+        rows = store._read(
+            f"fleet-state:meta:{self._section}",
+            store._dynamodb.query, store.meta_table, self._section,
         )
         keys = {row["key"] for row in rows}
-        for (section, key), staged in self._store._pending[self._store.meta_table].items():
+        for (section, key), staged in store._pending[store.meta_table].items():
             if section != self._section:
                 continue
             if staged is None:
@@ -160,6 +161,7 @@ class FleetStateStore:
         if int(n_shards) < 1:
             raise ExperimentError(f"n_shards must be >= 1, got {n_shards}")
         self._dynamodb = dynamodb
+        self._provider = dynamodb.provider
         self.n_shards = int(n_shards)
         self.namespace = (
             namespace if namespace is not None else dynamodb.next_store_namespace()
@@ -208,13 +210,23 @@ class FleetStateStore:
         self._flush_tables = tuple(flush_tables)
         for table, _ in self._flush_tables:
             self._pending[table] = {}
+        # Tables staged since the last flush; ``flush`` visits only
+        # these, in ``_flush_tables`` order (rank).
+        self._dirty: Set[str] = set()
+        self._flush_rank = {
+            table: (rank, f"fleet-state:flush:{label}")
+            for rank, (table, label) in enumerate(self._flush_tables)
+        }
         # Shard routing state.  Both maps are in-process conveniences
         # over durable data: tenants are re-assigned on resume (the
-        # tenancy layer persists its map in the meta table) and
-        # instance/request shards fall back to an all-shard probe when
-        # unknown, so a rebuilt controller over the same store object —
-        # the crash-recovery contract — never loses an item.
+        # tenancy layer persists its map in the meta table) and items
+        # whose routing is unknown here — an unassigned workload id, an
+        # instance/request bound by an earlier process — fall back to
+        # an all-shard probe, so a rebuilt controller over the same
+        # store object — the crash-recovery contract — never loses an
+        # item.  ``_workload_shard`` memoises :meth:`shard_of`.
         self._tenant_of: Dict[str, str] = {}
+        self._workload_shard: Dict[str, int] = {}
         self._entity_shard: Dict[str, int] = {}
         dynamodb.provider.engine.add_tick_hook(self.flush)
         self.router = ControlPlaneRouter()
@@ -225,6 +237,7 @@ class FleetStateStore:
     def assign_tenant(self, workload_id: str, tenant_id: str) -> None:
         """Pin *workload_id*'s shard to *tenant_id* (before registration)."""
         self._tenant_of[workload_id] = tenant_id
+        self._workload_shard.pop(workload_id, None)
 
     def tenant_of(self, workload_id: str) -> str:
         """Tenant a workload was admitted for (:data:`DEFAULT_TENANT` if none)."""
@@ -234,7 +247,11 @@ class FleetStateStore:
         """The shard *workload_id*'s items live on."""
         if self.n_shards == 1:
             return 0
-        return shard_index(self.tenant_of(workload_id), workload_id, self.n_shards)
+        shard = self._workload_shard.get(workload_id)
+        if shard is None:
+            shard = shard_index(self.tenant_of(workload_id), workload_id, self.n_shards)
+            self._workload_shard[workload_id] = shard
+        return shard
 
     # ------------------------------------------------------------------
     # Resilient store access
@@ -246,26 +263,48 @@ class FleetStateStore:
     # dropped with a dead letter — the mirror self-heals on the next
     # ``_sync`` — while an exhausted read re-raises, because callers
     # cannot act on state they never saw.
+    #
+    # Without a chaos controller both helpers call DynamoDB directly.
+    # That is exact, not an approximation: ``ThrottlingError`` is only
+    # ever raised by ``DynamoDBService._chaos_gate``, which returns
+    # early when no chaos controller is attached, so the retry wrapper
+    # could never retry, dead-letter or emit anything.
 
-    def _write(self, fn: Callable[[], Any], scope: str) -> None:
-        telemetry = self._dynamodb.provider.telemetry
+    def _write(self, scope: str, op: Callable[..., Any], *args: Any) -> bool:
+        """Apply ``op(*args)``; ``False`` when it was dead-lettered."""
+        telemetry = self._provider.telemetry
         tracer = telemetry.tracer
         if tracer is not None and tracer.current is not None:
             # Store traffic off a causal chain (setup, bookkeeping
             # sweeps) stays out of every trace tree.
             tracer.event(scope, "dynamodb")
-        call_with_retries(
-            fn,
+        if self._provider.chaos is None:
+            op(*args)
+            return True
+
+        def apply() -> bool:
+            op(*args)
+            return True
+
+        def exhausted(exc: BaseException) -> bool:
+            note_dead_letter(telemetry, scope, str(exc))
+            return False
+
+        return call_with_retries(
+            apply,
             STORE_RETRY_POLICY,
             retryable=ThrottlingError,
             on_retry=lambda attempt, exc: note_retry(telemetry, scope, attempt, exc),
-            on_exhausted=lambda exc: note_dead_letter(telemetry, scope, str(exc)),
+            on_exhausted=exhausted,
         )
 
-    def _read(self, fn: Callable[[], Any], scope: str) -> Any:
-        telemetry = self._dynamodb.provider.telemetry
+    def _read(self, scope: str, op: Callable[..., Any], *args: Any) -> Any:
+        """Return ``op(*args)``, retried against injected throttles."""
+        if self._provider.chaos is None:
+            return op(*args)
+        telemetry = self._provider.telemetry
         return call_with_retries(
-            fn,
+            lambda: op(*args),
             STORE_RETRY_POLICY,
             retryable=ThrottlingError,
             on_retry=lambda attempt, exc: note_retry(telemetry, scope, attempt, exc),
@@ -291,12 +330,13 @@ class FleetStateStore:
         item: Optional[Dict[str, Any]],
         scope: str,
     ) -> None:
-        tracer = self._dynamodb.provider.telemetry.tracer
+        tracer = self._provider.telemetry.tracer
         if tracer is not None and tracer.current is not None:
             tracer.event(scope, "dynamodb")
         # Staged dicts are stored as-is: every staging site passes a
         # freshly built dict, and overlay reads copy on the way out.
         self._pending[table][key] = item
+        self._dirty.add(table)
 
     def _stage_put(
         self, table: str, key: Tuple[Any, Any], item: Dict[str, Any], scope: str
@@ -338,26 +378,28 @@ class FleetStateStore:
         """Land every staged write in DynamoDB, one batch per table.
 
         Runs from the engine's tick hook (and from controller teardown).
-        A batch that exhausts its retry budget against an injected
-        throttle is dead-lettered and **stays pending**, so the next
-        tick's flush retries it — the mirror self-heals instead of
-        silently losing state.
+        Only tables staged since the last flush are visited, in
+        ``_flush_tables`` order, so an idle tick costs nothing however
+        many shards the store has.  A batch that exhausts its retry
+        budget against an injected throttle is dead-lettered and
+        **stays pending** (and dirty), so the next tick's flush retries
+        it — the mirror self-heals instead of silently losing state.
         """
-        for table, label in self._flush_tables:
+        if not self._dirty:
+            return
+        rank = self._flush_rank
+        tables = sorted(self._dirty, key=rank.__getitem__)
+        self._dirty = set()
+        for table in tables:
             pending = self._pending[table]
             if not pending:
                 continue
             puts = [item for item in pending.values() if item is not None]
             deletes = [key for key, item in pending.items() if item is None]
-            flushed: List[bool] = []
-
-            def apply(table=table, puts=puts, deletes=deletes, flushed=flushed):
-                self._dynamodb.batch_write_item(table, puts=puts, deletes=deletes)
-                flushed.append(True)
-
-            self._write(apply, scope=f"fleet-state:flush:{label}")
-            if flushed:
+            if self._write(rank[table][1], self._dynamodb.batch_write_item, table, puts, deletes):
                 pending.clear()
+            else:
+                self._dirty.add(table)
 
     # ------------------------------------------------------------------
     # Workload state
@@ -372,40 +414,33 @@ class FleetStateStore:
             scope="fleet-state:save-execution",
         )
 
-    def _lookup_item(
-        self, tables: List[str], routed: int, partition: str, scope: str
-    ) -> Optional[Dict[str, Any]]:
-        """Read one row, trying the routed shard first, then the rest.
+    def workload_item(self, workload_id: str) -> Optional[Dict[str, Any]]:
+        """The stored state of one workload, or ``None``.
 
-        The fallback probe only runs on a miss with more than one
-        shard, so the 1-shard store issues exactly the reads it always
-        did; with shards it covers items whose routing state predates
-        this process (a rebuilt controller with an unrestored map).
+        A workload whose tenant is assigned (or any workload of a
+        1-shard store) lives on exactly one shard, so that is the only
+        read.  An unassigned id on a sharded store — restore over a
+        store whose tenant map was not reloaded — may have been written
+        under another tenant, so a miss on its routed shard probes the
+        rest.
         """
-        order = [routed] + [i for i in range(len(tables)) if i != routed]
+        routed = self.shard_of(workload_id)
+        order = [routed]
+        if workload_id not in self._tenant_of:
+            order += [i for i in range(self.n_shards) if i != routed]
+        key = (workload_id, None)
         for index in order:
-            table = tables[index]
-            key = (partition, None)
+            table = self._workload_shards[index]
             pending = self._pending[table]
             if key in pending:
                 staged = pending[key]
                 return dict(staged) if staged is not None else None
             item = self._read(
-                lambda table=table: self._dynamodb.get_item(table, partition),
-                scope=scope,
+                "fleet-state:workload-item", self._dynamodb.get_item, table, workload_id
             )
             if item is not None:
                 return item
         return None
-
-    def workload_item(self, workload_id: str) -> Optional[Dict[str, Any]]:
-        """The stored state of one workload, or ``None``."""
-        return self._lookup_item(
-            self._workload_shards,
-            self.shard_of(workload_id),
-            workload_id,
-            scope="fleet-state:workload-item",
-        )
 
     def workload_items(self, shard: Optional[int] = None) -> List[Dict[str, Any]]:
         """Stored workloads, in registration order (one shard or all).
@@ -419,10 +454,7 @@ class FleetStateStore:
         )
         items: List[Dict[str, Any]] = []
         for table in tables:
-            rows = self._read(
-                lambda table=table: self._dynamodb.scan(table),
-                scope="fleet-state:workload-items",
-            )
+            rows = self._read("fleet-state:workload-items", self._dynamodb.scan, table)
             items.extend(self._overlay_scan(table, rows, "workload_id"))
         return items
 
@@ -492,10 +524,7 @@ class FleetStateStore:
                 self._stage_delete(table, key, scope=scope)
                 self._entity_shard.pop(entity_id, None)
                 return staged["workload_id"]
-            item = self._read(
-                lambda table=table: self._dynamodb.get_item(table, entity_id),
-                scope=scope,
-            )
+            item = self._read(scope, self._dynamodb.get_item, table, entity_id)
             if item is not None:
                 self._stage_delete(table, key, scope=scope)
                 self._entity_shard.pop(entity_id, None)
@@ -514,10 +543,7 @@ class FleetStateStore:
         """Current ``instance_id -> workload_id`` map."""
         bindings: Dict[str, str] = {}
         for table in self._instance_shards:
-            rows = self._read(
-                lambda table=table: self._dynamodb.scan(table),
-                scope="fleet-state:instance-bindings",
-            )
+            rows = self._read("fleet-state:instance-bindings", self._dynamodb.scan, table)
             rows = self._overlay_scan(table, rows, "instance_id")
             bindings.update(
                 {item["instance_id"]: item["workload_id"] for item in rows}
@@ -549,10 +575,7 @@ class FleetStateStore:
         """``(request_id, workload_id)`` pairs, in filing order."""
         pairs: List[Tuple[str, str]] = []
         for table in self._request_shards:
-            rows = self._read(
-                lambda table=table: self._dynamodb.scan(table),
-                scope="fleet-state:tracked-requests",
-            )
+            rows = self._read("fleet-state:tracked-requests", self._dynamodb.scan, table)
             rows = self._overlay_scan(table, rows, "request_id")
             pairs.extend((item["request_id"], item["workload_id"]) for item in rows)
         return pairs
@@ -583,17 +606,11 @@ class FleetStateStore:
         if key in pending:
             staged = pending[key]
             return dict(staged) if staged is not None else None
-        return self._read(
-            lambda: self._dynamodb.get_item(self.dags_table, dag_id),
-            scope="fleet-state:dag-item",
-        )
+        return self._read("fleet-state:dag-item", self._dynamodb.get_item, self.dags_table, dag_id)
 
     def dag_items(self) -> List[Dict[str, Any]]:
         """Every stored DAG, in submission order."""
-        rows = self._read(
-            lambda: self._dynamodb.scan(self.dags_table),
-            scope="fleet-state:dag-items",
-        )
+        rows = self._read("fleet-state:dag-items", self._dynamodb.scan, self.dags_table)
         return self._overlay_scan(self.dags_table, rows, "dag_id")
 
     def has_dag(self, dag_id: str) -> bool:
@@ -626,16 +643,12 @@ class FleetStateStore:
             staged = pending[key]
             return dict(staged) if staged is not None else None
         return self._read(
-            lambda: self._dynamodb.get_item(self.tenants_table, tenant_id),
-            scope="fleet-state:tenant-item",
+            "fleet-state:tenant-item", self._dynamodb.get_item, self.tenants_table, tenant_id
         )
 
     def tenant_items(self) -> List[Dict[str, Any]]:
         """Every stored tenant spec, in registration order."""
-        rows = self._read(
-            lambda: self._dynamodb.scan(self.tenants_table),
-            scope="fleet-state:tenant-items",
-        )
+        rows = self._read("fleet-state:tenant-items", self._dynamodb.scan, self.tenants_table)
         return self._overlay_scan(self.tenants_table, rows, "tenant_id")
 
     # ------------------------------------------------------------------

@@ -37,9 +37,10 @@ same costs — which is what the golden-equivalence suite pins.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SpotVerseConfig
 from repro.core.controller import FleetController
@@ -132,6 +133,11 @@ class TenantRegistry:
         self._store = store
         self._specs: Dict[str, TenantSpec] = {}
         self._order: List[str] = []
+        self._watchers: List[Callable[[str], None]] = []
+
+    def watch(self, watcher: Callable[[str], None]) -> None:
+        """Call *watcher* with a tenant id whenever its spec changes."""
+        self._watchers.append(watcher)
 
     def register(self, spec: TenantSpec, bus=None) -> TenantSpec:
         """Add (or update) *spec*; persists it and announces on *bus*."""
@@ -139,6 +145,8 @@ class TenantRegistry:
             self._order.append(spec.tenant_id)
         self._specs[spec.tenant_id] = spec
         self._store.save_tenant(spec.to_dict())
+        for watcher in self._watchers:
+            watcher(spec.tenant_id)
         if bus is not None:
             bus.emit(
                 EventType.TENANT_REGISTERED,
@@ -158,6 +166,9 @@ class TenantRegistry:
             spec = TenantSpec.from_dict(item)
             self._specs[spec.tenant_id] = spec
             self._order.append(spec.tenant_id)
+        for tenant_id in self._order:
+            for watcher in self._watchers:
+                watcher(tenant_id)
 
     def has(self, tenant_id: str) -> bool:
         """Whether *tenant_id* is registered."""
@@ -204,10 +215,19 @@ class Admission:
 class AdmissionController:
     """Weighted fair-share admission over per-tenant queues.
 
-    Pure deterministic bookkeeping: no RNG, no wall-clock, dict
-    iteration always over sorted tenant ids.  The controller façade
-    owns durability (queue snapshots live in the store's meta table)
-    and telemetry; this class decides *who goes next*.
+    Pure deterministic bookkeeping: no RNG, no wall-clock.  The
+    controller façade owns durability (queue snapshots live in the
+    store's meta table) and telemetry; this class decides *who goes
+    next*.
+
+    The eligible set (tenants with queued work and free quota) is kept
+    as an index rather than rescanned per admission: one list sorted by
+    tenant id (the ``passed_over`` order) and one sorted by
+    ``(virtual time, tenant id)`` (the choice order, minimum first).
+    Every event that can change a tenant's eligibility — enqueue, an
+    admission, :meth:`release`, :meth:`note_in_flight`, a spec
+    re-registration — re-files that one tenant, so an admission costs
+    O(log T) comparisons instead of a sort over all T tenants.
     """
 
     def __init__(self, registry: TenantRegistry) -> None:
@@ -216,14 +236,27 @@ class AdmissionController:
         self._in_flight: Dict[str, int] = {}
         self._virtual: Dict[str, float] = {}
         self._global_virtual = 0.0
+        self._queued_total = 0
+        # Each tenant's current spec and virtual-time step, kept up to
+        # date by the registry watch.
+        self._spec: Dict[str, TenantSpec] = {}
+        self._step: Dict[str, float] = {}
+        # The eligible-tenant index: tenant -> its choice key, plus the
+        # two sorted views of the same set.
+        self._listed: Dict[str, Tuple[float, str]] = {}
+        self._by_id: List[str] = []
+        self._by_key: List[Tuple[float, str]] = []
         self.admitted_counts: Dict[str, int] = {}
         self.done_counts: Dict[str, int] = {}
         self.throttled_counts: Dict[str, int] = {}
+        registry.watch(self._spec_changed)
+        for spec in registry.tenants():
+            self._spec_changed(spec.tenant_id)
 
     # -- submission ----------------------------------------------------
     def enqueue(self, tenant_id: str, workload: Workload) -> bool:
         """Queue one submission; ``False`` means throttled (queue full)."""
-        spec = self.registry.get(tenant_id)
+        spec = self._spec.get(tenant_id) or self.registry.get(tenant_id)
         queue = self._queues.setdefault(tenant_id, deque())
         if spec.max_pending and len(queue) >= spec.max_pending:
             self.throttled_counts[tenant_id] = (
@@ -239,51 +272,67 @@ class AdmissionController:
                 self._virtual.get(tenant_id, 0.0), self._global_virtual
             )
         queue.append(workload)
+        self._queued_total += 1
+        if len(queue) == 1:
+            self._refile(tenant_id)
         return True
 
     def release(self, tenant_id: str) -> None:
         """A workload of *tenant_id* completed; frees one quota slot."""
         self._in_flight[tenant_id] = max(0, self._in_flight.get(tenant_id, 0) - 1)
         self.done_counts[tenant_id] = self.done_counts.get(tenant_id, 0) + 1
+        self._refile(tenant_id)
 
     def note_in_flight(self, tenant_id: str, count: int = 1) -> None:
         """Seed quota usage from stored state (controller resume)."""
         self._in_flight[tenant_id] = self._in_flight.get(tenant_id, 0) + count
+        self._refile(tenant_id)
 
     # -- scheduling ----------------------------------------------------
-    def _eligible(self) -> List[str]:
-        eligible = []
-        for tenant_id in sorted(self._queues):
-            if not self._queues[tenant_id]:
-                continue
-            spec = self.registry.get(tenant_id)
-            if spec.max_in_flight and self._in_flight.get(tenant_id, 0) >= spec.max_in_flight:
-                continue
-            eligible.append(tenant_id)
-        return eligible
+    def _spec_changed(self, tenant_id: str) -> None:
+        spec = self._spec[tenant_id] = self.registry.get(tenant_id)
+        self._step[tenant_id] = 1.0 / spec.effective_weight
+        self._refile(tenant_id)
+
+    def _is_eligible(self, tenant_id: str) -> bool:
+        if not self._queues.get(tenant_id):
+            return False
+        quota = self._spec[tenant_id].max_in_flight
+        return not quota or self._in_flight.get(tenant_id, 0) < quota
+
+    def _refile(self, tenant_id: str) -> None:
+        """Bring *tenant_id*'s place in the eligible index up to date."""
+        eligible = self._is_eligible(tenant_id)
+        key = self._listed.get(tenant_id)
+        if eligible and key is None:
+            key = (self._virtual[tenant_id], tenant_id)
+            self._listed[tenant_id] = key
+            insort(self._by_id, tenant_id)
+            insort(self._by_key, key)
+        elif not eligible and key is not None:
+            self._unlist(tenant_id)
+
+    def _unlist(self, tenant_id: str) -> None:
+        key = self._listed.pop(tenant_id)
+        del self._by_id[bisect_left(self._by_id, tenant_id)]
+        del self._by_key[bisect_left(self._by_key, key)]
 
     def drain(self) -> List[Admission]:
         """Admit everything quota allows, in weighted fair-share order."""
         admitted: List[Admission] = []
-        while True:
-            eligible = self._eligible()
-            if not eligible:
-                break
-            chosen = min(
-                eligible, key=lambda tenant_id: (self._virtual[tenant_id], tenant_id)
-            )
+        while self._by_key:
+            chosen = self._by_key[0][1]
+            self._unlist(chosen)
+            passed_over = tuple(self._by_id)
             workload = self._queues[chosen].popleft()
-            spec = self.registry.get(chosen)
+            self._queued_total -= 1
             self._in_flight[chosen] = self._in_flight.get(chosen, 0) + 1
-            self._virtual[chosen] += 1.0 / spec.effective_weight
+            self._virtual[chosen] += self._step[chosen]
             self._global_virtual = self._virtual[chosen]
             self.admitted_counts[chosen] = self.admitted_counts.get(chosen, 0) + 1
+            self._refile(chosen)
             admitted.append(
-                Admission(
-                    tenant_id=chosen,
-                    workload=workload,
-                    passed_over=tuple(t for t in eligible if t != chosen),
-                )
+                Admission(tenant_id=chosen, workload=workload, passed_over=passed_over)
             )
         return admitted
 
@@ -292,7 +341,7 @@ class AdmissionController:
         """Pending submissions (one tenant or all)."""
         if tenant_id is not None:
             return len(self._queues.get(tenant_id, ()))
-        return sum(len(queue) for queue in self._queues.values())
+        return self._queued_total
 
     def queued(self) -> List[Tuple[str, Workload]]:
         """Every queued ``(tenant, workload)``, tenant-sorted FIFO."""
@@ -380,16 +429,11 @@ class MultiTenantController:
         """Add *spec* to the durable roster (announced on the bus)."""
         return self.registry.register(spec, bus=self._bus)
 
-    def _ensure_tenant(self, tenant_id: str) -> TenantSpec:
-        if not self.registry.has(tenant_id):
-            if tenant_id != DEFAULT_TENANT:
-                raise ExperimentError(
-                    f"unknown tenant {tenant_id!r}; register a TenantSpec first"
-                )
+    def _ensure_tenant(self, tenant_id: str) -> None:
+        if tenant_id == DEFAULT_TENANT and not self.registry.has(tenant_id):
             # Single-tenant runs never register anything: the default
             # tenant materialises unlimited on first use.
-            return self.register_tenant(TenantSpec(tenant_id=DEFAULT_TENANT))
-        return self.registry.get(tenant_id)
+            self.register_tenant(TenantSpec(tenant_id=DEFAULT_TENANT))
 
     # ------------------------------------------------------------------
     # Submission (queue -> coalesced per-tick admission round)
@@ -402,14 +446,14 @@ class MultiTenantController:
         bounded pending queue rejected it — the ``tenant.throttled``
         event is the telemetry side of that backpressure.
         """
-        spec = self._ensure_tenant(tenant_id)
+        self._ensure_tenant(tenant_id)
         if not self.admission.enqueue(tenant_id, workload):
             self._bus.emit(
                 EventType.TENANT_THROTTLED,
                 workload_id=workload.workload_id,
                 tenant_id=tenant_id,
                 queued=self.admission.queued_count(tenant_id),
-                limit=spec.max_pending,
+                limit=self.registry.get(tenant_id).max_pending,
             )
             return False
         key = f"{self._queue_seq:012d}"
@@ -499,7 +543,9 @@ class MultiTenantController:
         deadline = self._engine.now + max_hours * HOUR
         lifecycle = self._fleet.services["lifecycle"]
         while (
-            self.admission.queued_count() or not lifecycle.all_done(self._admitted)
+            self.admission.queued_count()
+            or lifecycle.done < len(self._admitted)
+            or not lifecycle.all_done(self._admitted)
         ) and self._engine.now < deadline:
             self._engine.run_until(min(self._engine.now + poll_interval, deadline))
         return lifecycle.build_result(self._admitted)

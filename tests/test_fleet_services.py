@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos import CampaignSpec, ChaosController, Injection
 from repro.cloud.provider import CloudProvider
 from repro.cloud.services.ec2 import InstanceState, SpotRequestState
 from repro.core.config import SpotVerseConfig
@@ -11,7 +12,11 @@ from repro.core.fleet import (
     EFSCheckpointBackend,
     FleetStateStore,
 )
-from repro.errors import ExperimentError
+from repro.core.fleet.state import DEFAULT_TENANT, shard_index
+from repro.core.optimizer import SpotVerseOptimizer
+from repro.core.monitor import Monitor
+from repro.core.tenancy import MultiTenantController, TenantSpec
+from repro.errors import ExperimentError, ThrottlingError
 from repro.galaxy.checkpoint import InMemoryCheckpointStore
 from repro.obs import EventType
 from repro.sim.clock import HOUR
@@ -263,6 +268,65 @@ class TestControllerRestart:
         with pytest.raises(ExperimentError):
             controller.resume(workloads)
 
+    def test_deadline_then_resume_reacquires_terminated_capacity(self):
+        # A run/wait deadline terminates every live instance when it
+        # assembles the result.  A controller resumed from that store
+        # must restage those workloads on fresh capacity, not finish
+        # their segments on the dead instances.
+        def fleet():
+            return [
+                synthetic_workload("short", duration_hours=1.0, n_segments=2),
+                synthetic_workload("long-a", duration_hours=5.0, n_segments=5),
+                synthetic_workload("long-b", duration_hours=8.0, n_segments=4),
+                ngs_preprocessing_workload("ngs", duration_hours=6.0),
+            ]
+
+        def plane():
+            provider = CloudProvider(seed=4)
+            provider.warmup_markets(24)
+            config = SpotVerseConfig(instance_type="m5.xlarge")
+            return provider, config, SingleRegionPolicy(region="ca-central-1")
+
+        provider, config, policy = plane()
+        clean = FleetController(provider, policy, config).run(fleet(), max_hours=72)
+        assert clean.all_complete
+
+        provider, config, policy = plane()
+        controller = FleetController(provider, policy, config)
+        deadline = provider.engine.now + 2 * HOUR
+        cut = controller.run(fleet(), max_hours=2.0)
+        assert provider.engine.now == deadline
+        live = {r.workload_id for r in cut.records if not r.completed}
+        assert live == {"long-a", "long-b", "ngs"}
+        store = controller.state_store
+        controller.teardown()
+        resumed = FleetController(provider, policy, config, state_store=store).resume(
+            fleet(), max_hours=72
+        )
+
+        assert resumed.all_complete
+        assert [r.workload_id for r in resumed.records] == [
+            r.workload_id for r in clean.records
+        ]
+        clean_by_id = {r.workload_id: r for r in clean.records}
+        for record in resumed.records:
+            if record.workload_id not in live:
+                # Finished before the deadline: identical to the clean run.
+                assert record.to_item() == clean_by_id[record.workload_id].to_item()
+                continue
+            assert deadline in [time for time, _ in record.interruptions]
+            assert record.attempt_starts[-1] >= deadline
+            assert record.completed_at > record.attempt_starts[-1]
+        recovered = [
+            e.workload_id
+            for e in provider.telemetry.bus.events(EventType.MIGRATION_STARTED)
+            if e.attrs.get("recovered")
+        ]
+        assert sorted(recovered) == sorted(live)
+        # Every instance the resumed fleet ran on was billed; the
+        # restarted work costs more than the clean run, not less.
+        assert resumed.instance_cost > clean.instance_cost
+
     def test_unbound_router_discards_fulfillments(self, provider):
         config = SpotVerseConfig(instance_type="m5.xlarge")
         policy = SingleRegionPolicy(region="ca-central-1")
@@ -384,3 +448,149 @@ class TestStateStoreBatching:
         assert provider.dynamodb.query(store.meta_table, "s") == [
             {"section": "s", "key": "k", "value": 1}
         ]
+
+
+def _count_gets(provider, monkeypatch):
+    """Record the table of every ``get_item`` the DynamoDB service serves."""
+    tables = []
+    original = provider.dynamodb.get_item
+
+    def counting(table_name, partition, sort=None):
+        tables.append(table_name)
+        return original(table_name, partition, sort)
+
+    monkeypatch.setattr(provider.dynamodb, "get_item", counting)
+    return tables
+
+
+def _tenant_planes(provider):
+    """A builder of 16-shard multi-tenant controllers sharing one Monitor."""
+    config = SpotVerseConfig(instance_type="m5.xlarge")
+    monitor = Monitor(provider, [config.instance_type], collect_interval=config.collect_interval)
+    policy = SpotVerseOptimizer(monitor, config)
+
+    def build(state_store=None):
+        return MultiTenantController(
+            provider, policy, config, monitor=monitor, n_shards=16, state_store=state_store
+        )
+
+    return build
+
+
+class TestShardRouting:
+    """Exact shard routing and the no-chaos fast path of the store."""
+
+    def test_assigned_workload_reads_only_its_shard(self, provider, monkeypatch):
+        store = FleetStateStore(provider.dynamodb, n_shards=16)
+        store.assign_tenant("w-assigned", "lab")
+        gets = _count_gets(provider, monkeypatch)
+        assert not store.has_workload("w-assigned")
+        assert gets == [store._workload_shards[store.shard_of("w-assigned")]]
+        # An unassigned id may live under any tenant: a miss probes all.
+        del gets[:]
+        assert not store.has_workload("w-unassigned")
+        assert sorted(gets) == sorted(store._workload_shards)
+
+    def test_tenant_registration_is_one_get_per_workload(self, provider, monkeypatch):
+        controller = _tenant_planes(provider)()
+        controller.register_tenant(TenantSpec(tenant_id="lab"))
+        store = controller.state_store
+        gets = _count_gets(provider, monkeypatch)
+        ids = [f"wl-{i}" for i in range(6)]
+        for workload_id in ids:
+            controller.submit("lab", synthetic_workload(workload_id, 1.0, n_segments=1))
+        result = controller.wait(max_hours=24)
+        assert result.all_complete
+        workload_gets = [table for table in gets if table in store._workload_shards]
+        assert sorted(workload_gets) == sorted(
+            store._workload_shards[store.shard_of(workload_id)] for workload_id in ids
+        )
+
+    def test_unassigned_id_on_rebuilt_store_is_found_by_probe(self, provider):
+        controller = _tenant_planes(provider)()
+        controller.register_tenant(TenantSpec(tenant_id="lab"))
+        ids = [f"wl-{i}" for i in range(8)]
+        fleet = [synthetic_workload(workload_id, 1.0, n_segments=1) for workload_id in ids]
+        for workload in fleet:
+            controller.submit("lab", workload)
+        assert controller.wait(max_hours=24).all_complete
+        store = controller.state_store
+        controller.teardown()
+        # Pick an id whose default-tenant route misses its real shard.
+        moved = next(
+            workload_id for workload_id in ids
+            if shard_index("lab", workload_id, 16) != shard_index(DEFAULT_TENANT, workload_id, 16)
+        )
+        # The same tables, seen by a store whose tenant map was never
+        # reloaded: the id is unassigned there.
+        blank = FleetStateStore(provider.dynamodb, namespace=store.namespace, n_shards=16)
+        assert blank.tenant_of(moved) == DEFAULT_TENANT
+        assert blank.workload_item(moved)["state"] == "done"
+        rebuilt = FleetController(
+            provider, SingleRegionPolicy(region="ca-central-1"),
+            SpotVerseConfig(instance_type="m5.xlarge"), state_store=blank,
+        )
+        with pytest.raises(ExperimentError, match="already used"):
+            rebuilt.submit([synthetic_workload(moved, 1.0, n_segments=1)])
+
+    def test_workload_id_reuse_under_another_tenant_is_rejected(self, provider):
+        controller = _tenant_planes(provider)()
+        for tenant_id in ("a", "b"):
+            controller.register_tenant(TenantSpec(tenant_id=tenant_id))
+        fleet = [synthetic_workload("wl-x", 1.0, n_segments=1)]
+        controller.submit("a", fleet[0])
+        assert controller.wait(max_hours=24).all_complete
+        controller.submit("b", synthetic_workload("wl-x", 1.0, n_segments=1))
+        with pytest.raises(ExperimentError, match="already used"):
+            controller.wait(max_hours=24)
+
+        # Also after a teardown and a resume over the same store.
+        provider = CloudProvider(seed=4)
+        provider.warmup_markets(24)
+        build = _tenant_planes(provider)
+        controller = build()
+        for tenant_id in ("a", "b"):
+            controller.register_tenant(TenantSpec(tenant_id=tenant_id))
+        controller.submit("a", fleet[0])
+        assert controller.wait(max_hours=24).all_complete
+        store = controller.state_store
+        controller.teardown()
+        rebuilt = build(state_store=store)
+        assert rebuilt.resume(fleet, max_hours=24).all_complete
+        rebuilt.submit("b", synthetic_workload("wl-x", 1.0, n_segments=1))
+        with pytest.raises(ExperimentError, match="already used"):
+            rebuilt.wait(max_hours=24)
+
+    def test_throttle_window_still_retries_and_dead_letters(self, provider):
+        store = FleetStateStore(provider.dynamodb, n_shards=4)
+        store.assign_tenant("w-0", "lab")
+        chaos = ChaosController(
+            provider,
+            CampaignSpec(
+                name="throttle",
+                injections=(
+                    Injection(kind="dynamodb-throttle", at=0.0, duration=HOUR, rate=0.8),
+                ),
+            ),
+        )
+        chaos.install()
+        provider.engine.run_until(provider.engine.now + 1.0)
+        mapping = store.mapping("s")
+        exhausted_reads = 0
+        for i in range(20):
+            mapping[f"k{i}"] = i
+            store.flush()
+            try:
+                store.has_workload("w-0")
+            except ThrottlingError:
+                exhausted_reads += 1
+        bus = provider.telemetry.bus
+        retried = {e.attrs["scope"] for e in bus.events(EventType.RESILIENCE_RETRY)}
+        dead = {e.attrs["scope"] for e in bus.events(EventType.RESILIENCE_DEAD_LETTER)}
+        assert {"fleet-state:workload-item", "fleet-state:flush:meta"} <= retried
+        assert "fleet-state:flush:meta" in dead
+        assert exhausted_reads > 0
+        # Dead-lettered batches stayed pending and land once it lifts.
+        chaos.deactivate()
+        store.flush()
+        assert len(provider.dynamodb.query(store.meta_table, "s")) == 20
