@@ -14,7 +14,7 @@ when a shared benchmark regressed beyond the tolerance band:
   skipped — nothing to compare).
 * ``peak_rss_bytes`` may grow by at most ``--rss-tol`` (default 2.0x).
 
-Two derived metrics are enforced when both sides carry them:
+Derived metrics are enforced when both sides carry them:
 
 * ``speedup_vs_serial`` (the parallel-sweep benchmark) is hardware-
   aware.  When baseline *and* fresh runs had at least ``jobs`` CPUs,
@@ -27,10 +27,6 @@ Two derived metrics are enforced when both sides carry them:
 * ``profiler_overhead_x`` (instrumented vs. uninstrumented wall time)
   and ``streaming_overhead_x`` (live-export vs. plain wall time) may
   each grow by at most ``--wall-tol``.
-* ``scheduler_speedup_x`` (the engine-core benchmark's wheel-vs-heap
-  ratio) may shrink to no less than ``1/tput-tol`` of the committed
-  value — the calendar-queue scheduler must stay ahead of the heap
-  reference it replaced as the default.
 * ``fanout_speedup_x`` (the DAG fan-out benchmark's serial-vs-DAG
   simulated-makespan ratio) may shrink to no less than ``1/tput-tol``
   of the committed value, and must always stay at or above
@@ -195,19 +191,6 @@ def compare_payloads(
                     f">= {SPEEDUP_FLOOR:g} (serial fallback on low-core host)",
                 )
             )
-
-    base_sched = float(baseline.get("scheduler_speedup_x", 0.0))
-    fresh_sched = float(fresh.get("scheduler_speedup_x", 0.0))
-    if base_sched > 0 and fresh_sched > 0 and fresh_sched < base_sched / tput_tol:
-        violations.append(
-            Violation(
-                name,
-                "scheduler_speedup_x",
-                base_sched,
-                fresh_sched,
-                f">= 1/{tput_tol:g}x",
-            )
-        )
 
     base_fanout = float(baseline.get("fanout_speedup_x", 0.0))
     fresh_fanout = float(fresh.get("fanout_speedup_x", 0.0))

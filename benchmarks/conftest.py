@@ -81,7 +81,7 @@ def run_once(benchmark, func, *args, extra=None, **kwargs):
 def _write_baseline(
     name: str, wall: float, tracers: List[EngineTracer], extra=None
 ) -> Path:
-    events = sum(len(tracer.records) for tracer in tracers if tracer is not None)
+    events = sum(tracer.fired for tracer in tracers if tracer is not None)
     payload = {
         "benchmark": name,
         "wall_seconds": round(wall, 4),

@@ -4,13 +4,10 @@ Isolates the scheduler from the control plane so `check_regression.py`
 can watch the hot path itself, not just fig3's end-to-end number.  Two
 measurements:
 
-* **Raw queue drive** — an identical deterministic push/pop/cancel mix
-  (dense same-timestamp ties, re-entrant-style pushes behind the active
-  bucket) runs against the binary-heap reference ``EventQueue`` and the
-  calendar-queue ``BucketedEventQueue``.  The fire orders must match
-  element for element (the determinism contract), and the measured
-  ``scheduler_speedup_x`` (wheel ops/sec over heap ops/sec) is written
-  into the committed baseline, where the regression check holds it.
+* **Raw queue drive** — a deterministic push/pop/cancel mix (dense
+  same-timestamp ties, zero-delay re-entrant-style pushes) runs against
+  the binary-heap ``EventQueue``; repeats must fire in the same order,
+  and ``heap_ops_per_second`` goes into the baseline for reference.
 * **Engine storm** — a :class:`SimulationEngine` run mixing periodic
   tasks, same-timestamp bursts, cascading callbacks, and cancellations;
   ``run_once`` traces it, so the baseline carries the engine-level
@@ -28,22 +25,15 @@ import time
 from conftest import run_once
 
 from repro.sim.engine import SimulationEngine
-from repro.sim.events import BucketedEventQueue, EventQueue
+from repro.sim.events import EventQueue
 
 #: Operations per raw-queue drive.  Large enough that queue mechanics
-#: dominate the wall time; small enough to stay sub-second per queue.
+#: dominate the wall time; small enough to stay sub-second.
 QUEUE_OPS = 120_000
 
-#: Drives per queue; the fastest repeat is scored, which filters the
-#: allocator/cache warm-up noise that dwarfs real scheduler deltas on
-#: sub-second runs.
+#: Drives of the queue; the fastest repeat is scored, which filters the
+#: allocator/cache warm-up noise on sub-second runs.
 QUEUE_REPEATS = 3
-
-#: The wheel must at least hold its own against the reference heap on
-#: this mix (sub-1.0 would mean the default scheduler is a pessimisation);
-#: the committed baseline's measured value is band-checked by
-#: ``check_regression.py`` on top of this static floor.
-MIN_SPEEDUP = 0.95
 
 
 def _lcg(state: int) -> int:
@@ -58,7 +48,7 @@ def _drive_queue(queue) -> list:
     ``now + delay`` with delays quantised to 2.5s steps (dense ties,
     including zero-delay re-entrant pushes into the tick being
     drained).  A slight push surplus keeps a standing backlog so heap
-    pushes pay their ``O(log n)`` while wheel pushes stay O(1).
+    pushes pay their ``O(log n)``.
     """
     fired = []
     pending = []
@@ -119,11 +109,11 @@ def _storm(engine: SimulationEngine, horizon: float) -> None:
     engine.run_until(horizon)
 
 
-def _best_drive(queue_factory):
+def _best_drive():
     """Fastest of :data:`QUEUE_REPEATS` drives and its fire order."""
     best_wall, fire_order = float("inf"), None
     for _ in range(QUEUE_REPEATS):
-        queue = queue_factory()
+        queue = EventQueue()
         start = time.perf_counter()
         fired = _drive_queue(queue)
         wall = time.perf_counter() - start
@@ -136,17 +126,11 @@ def _best_drive(queue_factory):
 
 
 def test_engine_core(benchmark):
-    heap_wall, heap_fired = _best_drive(EventQueue)
-    wheel_wall, wheel_fired = _best_drive(BucketedEventQueue)
+    heap_wall, heap_fired = _best_drive()
+    # The determinism contract: pops follow (time, seq) exactly.
+    assert heap_fired == sorted(heap_fired)
 
-    # The determinism contract: identical (time, seq) fire order.
-    assert heap_fired == wheel_fired
-
-    extra = {
-        "heap_ops_per_second": round(QUEUE_OPS / heap_wall, 1),
-        "wheel_ops_per_second": round(QUEUE_OPS / wheel_wall, 1),
-        "scheduler_speedup_x": round(heap_wall / wheel_wall, 2),
-    }
+    extra = {"heap_ops_per_second": round(QUEUE_OPS / heap_wall, 1)}
 
     def engine_storm():
         engine = SimulationEngine(seed=3)
@@ -155,9 +139,3 @@ def test_engine_core(benchmark):
 
     engine = run_once(benchmark, engine_storm, extra=extra)
     assert engine.fired_events > 10_000  # the storm actually stormed
-
-    assert extra["scheduler_speedup_x"] >= MIN_SPEEDUP, (
-        f"wheel scheduler slower than the heap reference on the core mix: "
-        f"{extra['scheduler_speedup_x']:.2f}x (heap {heap_wall:.3f}s, "
-        f"wheel {wheel_wall:.3f}s)"
-    )

@@ -520,7 +520,7 @@ def _run_obs_fleet(args: argparse.Namespace, provider: CloudProvider):
 def _cmd_obs_profile(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs.profiler import HotPathProfile, attach_profiler
+    from repro.obs.profiler import HotPathProfile
 
     if args.from_profile:
         try:
@@ -540,9 +540,9 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
         return 0
 
     provider = CloudProvider(seed=args.seed)
-    profiler = attach_profiler(provider.engine)
+    provider.engine.trace = True
     result = _run_obs_fleet(args, provider)
-    profile = profiler.profile()
+    profile = HotPathProfile.from_tracer(provider.engine.tracer)
     print(result.summary())
     print()
     print(profile.report(top=args.top))
@@ -746,7 +746,7 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.obs import RunReport, Telemetry, write_jsonl
+    from repro.obs import HotPathProfile, RunReport, Telemetry, write_jsonl
 
     obs_command = getattr(args, "obs_command", None)
     if obs_command == "explain":
@@ -790,7 +790,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     if args.profile and provider.engine.tracer is not None:
         print()
         print("engine wall-clock profile:")
-        print(provider.engine.tracer.report())
+        print(HotPathProfile.from_tracer(provider.engine.tracer).report())
     return 0 if result.all_complete else 1
 
 

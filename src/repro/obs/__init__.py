@@ -41,9 +41,7 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, Sample
 from repro.obs.observatory import Anomaly, MarketObservatory
 from repro.obs.profiler import (
     HotPathProfile,
-    HotPathProfiler,
     ProfileEntry,
-    attach_profiler,
     subsystem_for,
 )
 from repro.obs.provenance import (
@@ -67,7 +65,6 @@ from repro.obs.slo import (
 from repro.obs.watch import WatchState, render_dashboard
 from repro.obs.spans import (
     EngineTracer,
-    LabelStats,
     Span,
     WorkloadSpanTree,
     build_spans,
@@ -155,8 +152,6 @@ __all__ = [
     "Histogram",
     "HopRecord",
     "HotPathProfile",
-    "HotPathProfiler",
-    "LabelStats",
     "LatencyWatcher",
     "LiveExporter",
     "LivePlane",
@@ -184,7 +179,6 @@ __all__ = [
     "WindowAggregator",
     "WindowStats",
     "WorkloadSpanTree",
-    "attach_profiler",
     "build_spans",
     "critical_path",
     "decisions_from_events",

@@ -1,23 +1,15 @@
 """Engine hot-path profiler: wall time, event counts, and heap churn.
 
-The :class:`~repro.sim.engine.SimulationEngine` already records a
-:class:`~repro.sim.trace.TraceRecord` per fired callback when a tracer
-is attached — virtual timestamp, scheduling label, wall-clock seconds,
-and the number of events the callback pushed onto the heap.  This
-module turns that raw trace into an attributed profile:
-
-* per label *group* (``"ec2:fulfill:sir-000007"`` profiles as
-  ``"ec2:fulfill"``), and
-* per owning *subsystem* — capacity, interruption, lifecycle, monitor,
-  market, chaos — so the report answers "where does the per-event
-  control-plane cost go?" directly.
-
-:class:`HotPathProfiler` is a drop-in :class:`EngineTracer` for live
-attachment (``engine.tracer = HotPathProfiler()``); the aggregation
-itself lives in :class:`HotPathProfile`, which also round-trips through
-a JSON payload so benchmarks can commit profile artifacts
-(``PROFILE_<name>.json``) and ``spotverse obs profile --from-profile``
-can render them later.
+An :class:`~repro.sim.trace.EngineTracer` attached to a
+:class:`~repro.sim.engine.SimulationEngine` keeps, per label *group*
+(``"ec2:fulfill:sir-000007"`` profiles as ``"ec2:fulfill"``), the
+callback count, wall-clock seconds, and events scheduled.
+:class:`HotPathProfile` attributes those totals to their owning
+*subsystem* — capacity, interruption, lifecycle, monitor, market,
+chaos — so the report answers "where does the per-event control-plane
+cost go?" directly.  A profile also round-trips through a JSON payload
+so benchmarks can commit profile artifacts (``PROFILE_<name>.json``)
+and ``spotverse obs profile --from-profile`` can render them later.
 
 Profiling is strictly read-only: wall timings and push counts never
 feed back into virtual time, RNG streams, or event order, and with no
@@ -30,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from repro.sim.trace import EngineTracer, TraceRecord, default_group
+from repro.sim.trace import EngineTracer
 
 #: The owning subsystems a label can be attributed to, in report order.
 SUBSYSTEMS = (
@@ -127,11 +119,10 @@ class ProfileEntry:
 class HotPathProfile:
     """An attributed engine profile (label groups x subsystems).
 
-    Build one from a live tracer (:meth:`from_tracer`), a pile of raw
-    records (:meth:`from_records`), or a committed benchmark artifact
-    (:meth:`from_payload`).  Profiles from several engines merge
-    additively (:meth:`merge`), which is how multi-arm benchmarks
-    produce a single fleet-wide artifact.
+    Build one from a live tracer (:meth:`from_tracer`) or a committed
+    benchmark artifact (:meth:`from_payload`).  Profiles from several
+    engines merge additively (:meth:`merge`), which is how multi-arm
+    benchmarks produce a single fleet-wide artifact.
     """
 
     def __init__(self) -> None:
@@ -144,32 +135,27 @@ class HotPathProfile:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def add_record(self, record: TraceRecord) -> None:
-        """Fold one raw trace record into the profile."""
-        group = default_group(record.label)
-        entry = self._entries.get(group)
-        if entry is None:
-            entry = self._entries[group] = ProfileEntry(
-                group=group, subsystem=subsystem_for(record.label)
-            )
-        entry.count += 1
-        entry.wall_total += record.wall
-        entry.scheduled_total += record.scheduled
-        self.fired_events += 1
-
-    @classmethod
-    def from_records(cls, records: Iterable[TraceRecord]) -> "HotPathProfile":
-        profile = cls()
-        for record in records:
-            profile.add_record(record)
-        return profile
-
     @classmethod
     def from_tracer(cls, tracer: EngineTracer) -> "HotPathProfile":
-        profile = cls.from_records(tracer.records)
+        """Attribute one engine tracer's per-group totals.
+
+        A label group keeps its label's head (and, except for ``exec``,
+        the next component), which is all :func:`subsystem_for` reads,
+        so the group maps to the same subsystem as every raw label in it.
+        """
+        profile = cls()
+        for group, (count, wall, scheduled) in tracer.groups.items():
+            profile._entries[group] = ProfileEntry(
+                group=group,
+                subsystem=subsystem_for(group),
+                count=count,
+                wall_total=wall,
+                scheduled_total=scheduled,
+            )
+        profile.fired_events = tracer.fired
         profile.wall_elapsed = tracer.wall_elapsed
         profile.engines = 1
-        profile.runs = len(tracer.runs)
+        profile.runs = tracer.runs
         return profile
 
     @classmethod
@@ -300,22 +286,3 @@ class HotPathProfile:
         profile.runs = int(payload.get("runs", 0))
         profile.wall_elapsed = float(payload.get("wall_elapsed", 0.0))
         return profile
-
-
-class HotPathProfiler(EngineTracer):
-    """A live engine tracer whose records feed a :class:`HotPathProfile`.
-
-    Install with ``engine.tracer = HotPathProfiler()`` (or
-    :func:`attach_profiler`); call :meth:`profile` after the run.
-    """
-
-    def profile(self) -> HotPathProfile:
-        """Aggregate everything recorded so far."""
-        return HotPathProfile.from_tracer(self)
-
-
-def attach_profiler(engine) -> HotPathProfiler:
-    """Attach a fresh :class:`HotPathProfiler` to *engine* and return it."""
-    profiler = HotPathProfiler()
-    engine.tracer = profiler
-    return profiler

@@ -9,10 +9,10 @@ re-acquiring) → ``boot`` → ``run`` → ... → done.
 
 :func:`build_spans` folds a telemetry event stream into that tree per
 workload, giving reports and tests a filterable timeline instead of
-raw event soup.  The engine-level counterpart — the labeled trace and
-wall-clock profiler that replaced ``SimulationEngine.trace_log`` —
-lives in :mod:`repro.sim.trace` (``sim`` may not import ``obs``) and
-is re-exported here as part of the observability surface.
+raw event soup.  The engine-level counterpart — the per-label-group
+:class:`EngineTracer` — lives in :mod:`repro.sim.trace` (``sim`` may
+not import ``obs``) and is re-exported here as part of the
+observability surface.
 """
 
 from __future__ import annotations
@@ -21,11 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.obs.events import EventType, TelemetryEvent
-from repro.sim.trace import (  # noqa: F401  (re-exported observability surface)
-    EngineTracer,
-    LabelStats,
-    TraceRecord,
-)
+from repro.sim.trace import EngineTracer  # noqa: F401  (re-exported observability surface)
 
 #: Phase names, in canonical display order.
 PHASES = ("request", "boot", "run", "migrating")

@@ -18,7 +18,7 @@ from time import perf_counter
 from typing import Callable, List, Optional, Sequence
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.events import BucketedEventQueue, Callback, Event, EventQueue
+from repro.sim.events import Callback, Event, EventQueue
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import EngineTracer
 
@@ -28,20 +28,10 @@ class SimulationEngine:
 
     Args:
         seed: Master seed for the engine's :class:`RandomStreams`.
-        trace: When true, every fired event is recorded by an
-            :class:`~repro.sim.trace.EngineTracer` — a labeled,
-            filterable trace with per-callback wall timings
-            (:attr:`tracer`; tuple-shaped views come from
-            :meth:`~repro.sim.trace.EngineTracer.as_tuples`).
+        trace: When true, every fired event is folded into an
+            :class:`~repro.sim.trace.EngineTracer` (:attr:`tracer`):
+            per-label-group callback counts and wall timings.
         tracer: Install a specific tracer (implies tracing on).
-        scheduler: Event-queue implementation: ``"wheel"`` (default)
-            selects the calendar-queue
-            :class:`~repro.sim.events.BucketedEventQueue`; ``"heap"``
-            the binary-heap reference
-            :class:`~repro.sim.events.EventQueue`.  Both satisfy the
-            same ``(time, seq)`` determinism contract, so results are
-            bit-identical either way — the flag exists for equivalence
-            testing and benchmarking.
     """
 
     def __init__(
@@ -49,18 +39,9 @@ class SimulationEngine:
         seed: int = 0,
         trace: bool = False,
         tracer: Optional[EngineTracer] = None,
-        scheduler: str = "wheel",
     ) -> None:
         self._now = 0.0
-        if scheduler == "wheel":
-            self._queue = BucketedEventQueue()
-        elif scheduler == "heap":
-            self._queue = EventQueue()
-        else:
-            raise SchedulingError(
-                f"unknown scheduler {scheduler!r}; expected 'wheel' or 'heap'"
-            )
-        self.scheduler = scheduler
+        self._queue = EventQueue()
         self._running = False
         self.streams = RandomStreams(seed)
         self.tracer = tracer if tracer is not None else (EngineTracer() if trace else None)
@@ -224,59 +205,45 @@ class SimulationEngine:
             )
         if self._running:
             raise SimulationError("run_until called re-entrantly from a callback")
-        self._running = True
-        tracer = self.tracer
-        hooks = self._tick_hooks
-        run_started = perf_counter() if tracer is not None else 0.0
-        fired_before = self._fired_events
-        try:
-            while True:
-                next_time = self._queue.peek_time()
-                if next_time is None or next_time > time:
-                    break
-                if hooks and next_time > self._now:
-                    for hook in hooks:
-                        hook()
-                event = self._queue.pop()
-                assert event is not None and event.callback is not None
-                self._now = event.time
-                self._fired_events += 1
-                self._fire(event)
-            self._now = time
-            for hook in hooks:
-                hook()
-        finally:
-            self._running = False
-            if tracer is not None:
-                tracer.note_run(
-                    perf_counter() - run_started, self._fired_events - fired_before
-                )
+        self._drain(time, settle=True)
 
     def run_until_idle(self, max_time: Optional[float] = None) -> None:
         """Execute events until the queue is empty (or *max_time*)."""
         if self._running:
             raise SimulationError("run_until_idle called re-entrantly from a callback")
+        self._drain(max_time, settle=False)
+
+    def _drain(self, horizon: Optional[float], settle: bool) -> None:
+        """Fire events up to *horizon* (``None``: until the queue empties).
+
+        The clock stops at *horizon* when a later event is pending; with
+        *settle* it lands there even when the queue drains first.  Tick
+        hooks run before each clock advance and once at the end.
+        """
         self._running = True
+        queue = self._queue
         tracer = self.tracer
         hooks = self._tick_hooks
         run_started = perf_counter() if tracer is not None else 0.0
         fired_before = self._fired_events
         try:
             while True:
-                next_time = self._queue.peek_time()
+                next_time = queue.peek_time()
                 if next_time is None:
                     break
-                if max_time is not None and next_time > max_time:
-                    self._now = max_time
+                if horizon is not None and next_time > horizon:
+                    self._now = horizon
                     break
                 if hooks and next_time > self._now:
                     for hook in hooks:
                         hook()
-                event = self._queue.pop()
+                event = queue.pop()
                 assert event is not None and event.callback is not None
                 self._now = event.time
                 self._fired_events += 1
                 self._fire(event)
+            if settle:
+                self._now = horizon
             for hook in hooks:
                 hook()
         finally:
@@ -289,11 +256,10 @@ class SimulationEngine:
     def _fire(self, event: Event) -> None:
         """Invoke one callback, recording it when tracing is on.
 
-        With a tracer attached, each record carries the callback's wall
-        time *and* its heap churn (events it scheduled); with tracing
-        off, the callback is invoked directly — no timing, no counters,
-        so untraced runs stay bit-identical to pre-instrumentation
-        builds.
+        With a tracer attached, the callback's wall time *and* its heap
+        churn (events it scheduled) are recorded; with tracing off, the
+        callback is invoked directly — no timing, no counters, so
+        untraced runs stay bit-identical to pre-instrumentation builds.
         """
         tracer = self.tracer
         if tracer is None:
@@ -326,7 +292,7 @@ class SimulationEngine:
         """Drop all pending events and rewind the clock to zero.
 
         A reset engine reports zero :attr:`fired_events` and an empty
-        trace.  Random streams are *not* reset; build a fresh engine
+        tracer.  Random streams are *not* reset; build a fresh engine
         for a fully independent run.
         """
         self._queue.clear()

@@ -1,15 +1,14 @@
-"""Labeled, filterable engine instrumentation with a wall-clock profiler.
+"""Aggregate-only engine instrumentation.
 
-Replaces the old informal ``trace_log`` list of ``(time, label)``
-tuples: when tracing is on, the engine hands every fired callback to an
-:class:`EngineTracer`, which records the virtual timestamp, the event
-label, and the *wall-clock* seconds the callback took.  That yields two
-things the bare tuples could not:
-
-* filterable traces (``tracer.filter(prefix="ec2:")``), and
-* a profile of where simulation wall time goes
-  (:meth:`EngineTracer.stats` / :meth:`EngineTracer.report`), with an
-  events-per-second throughput figure for the whole run.
+When tracing is on, the engine hands every fired callback to an
+:class:`EngineTracer`, which folds it into per-label-group totals:
+callback count, wall-clock seconds, and events the callback scheduled.
+The tracer also keeps the fired total, the wall window from the first
+callback to the last, and the number of ``run_until*`` calls.  Memory
+is O(label groups), never O(events), so tracing a million-event run
+costs the same few dicts as tracing a hundred.
+:class:`~repro.obs.profiler.HotPathProfile` turns the totals into the
+attributed report.
 
 Wall timings never feed back into the simulation, so determinism of
 virtual time is untouched.
@@ -21,40 +20,8 @@ workload span tooling.
 
 from __future__ import annotations
 
-import time as _time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional
-
-
-class TraceRecord(NamedTuple):
-    """One fired engine callback."""
-
-    time: float  # virtual timestamp
-    label: str  # scheduling label ("" when unlabeled)
-    wall: float  # wall-clock seconds spent in the callback
-    scheduled: int = 0  # events the callback pushed onto the heap
-
-
-class RunWindow(NamedTuple):
-    """One ``run_until`` / ``run_until_idle`` invocation."""
-
-    wall: float  # wall-clock seconds the loop ran
-    fired: int  # callbacks executed inside the loop
-
-
-@dataclass
-class LabelStats:
-    """Aggregate wall-clock profile for one label group."""
-
-    group: str
-    count: int = 0
-    wall_total: float = 0.0
-    scheduled_total: int = 0
-
-    @property
-    def wall_mean(self) -> float:
-        """Mean wall seconds per callback (0.0 when empty)."""
-        return self.wall_total / self.count if self.count else 0.0
+from time import perf_counter
+from typing import Dict, List, Optional
 
 
 def default_group(label: str) -> str:
@@ -66,75 +33,49 @@ def default_group(label: str) -> str:
     """
     if not label:
         return "<unlabeled>"
-    parts = label.split(":")
-    if len(parts) == 1:
-        return parts[0]
-    if parts[0] == "exec":
-        return parts[0]
-    return ":".join(parts[:2])
+    head, sep, rest = label.partition(":")
+    if not sep or head == "exec":
+        return head
+    return head + ":" + rest.partition(":")[0]
 
 
 class EngineTracer:
-    """Trace sink + wall-clock profiler for :class:`~repro.sim.engine.SimulationEngine`.
+    """Per-label-group totals for :class:`~repro.sim.engine.SimulationEngine`.
 
-    Args:
-        group: Maps a raw event label to its profile group; defaults to
-            :func:`default_group`.
+    Attributes:
+        groups: ``{group: [count, wall seconds, scheduled events]}``,
+            keyed by :func:`default_group`.
+        fired: Callbacks recorded.
+        runs: ``run_until`` / ``run_until_idle`` calls noted.
     """
 
-    def __init__(self, group: Optional[Callable[[str], str]] = None) -> None:
-        self.records: List[TraceRecord] = []
-        self.runs: List[RunWindow] = []
-        self._group = group or default_group
+    def __init__(self) -> None:
+        self.groups: Dict[str, List] = {}
+        self.fired = 0
+        self.runs = 0
         self._wall_first: Optional[float] = None
         self._wall_last: Optional[float] = None
 
-    # ------------------------------------------------------------------
-    # Recording (called by the engine's hot loop)
-    # ------------------------------------------------------------------
     def record(self, time: float, label: str, wall: float, scheduled: int = 0) -> None:
-        """Append one fired callback."""
-        now = _time.perf_counter()
+        """Fold one fired callback into its group's totals."""
+        now = perf_counter()
         if self._wall_first is None:
             self._wall_first = now - wall
         self._wall_last = now
-        self.records.append(TraceRecord(time, label, wall, scheduled))
+        self.fired += 1
+        group = default_group(label)
+        totals = self.groups.get(group)
+        if totals is None:
+            self.groups[group] = [1, wall, scheduled]
+        else:
+            totals[0] += 1
+            totals[1] += wall
+            totals[2] += scheduled
 
     def note_run(self, wall: float, fired: int) -> None:
-        """Record one engine run window (a ``run_until*`` invocation)."""
-        self.runs.append(RunWindow(wall, fired))
+        """Count one engine run window (a ``run_until*`` invocation)."""
+        self.runs += 1
 
-    # ------------------------------------------------------------------
-    # Filterable trace
-    # ------------------------------------------------------------------
-    def filter(
-        self,
-        prefix: str = "",
-        contains: str = "",
-        start: float = 0.0,
-        end: Optional[float] = None,
-    ) -> List[TraceRecord]:
-        """Records whose label matches and whose time is in [start, end]."""
-        return [
-            record
-            for record in self.records
-            if record.label.startswith(prefix)
-            and contains in record.label
-            and record.time >= start
-            and (end is None or record.time <= end)
-        ]
-
-    def labels(self) -> List[str]:
-        """Distinct raw labels seen, sorted."""
-        return sorted({record.label for record in self.records})
-
-    def as_tuples(self) -> List[tuple]:
-        """The legacy ``(time, label)`` view of the trace."""
-        return [(record.time, record.label) for record in self.records]
-
-    # ------------------------------------------------------------------
-    # Wall-clock profile
-    # ------------------------------------------------------------------
     @property
     def wall_elapsed(self) -> float:
         """Wall seconds from the first recorded callback to the last."""
@@ -142,45 +83,10 @@ class EngineTracer:
             return 0.0
         return self._wall_last - self._wall_first
 
-    def events_per_second(self) -> float:
-        """Fired callbacks per wall second over the traced window."""
-        elapsed = self.wall_elapsed
-        if elapsed <= 0.0:
-            return 0.0
-        return len(self.records) / elapsed
-
-    def stats(self) -> Dict[str, LabelStats]:
-        """Per-group callback profile, keyed by label group."""
-        by_group: Dict[str, LabelStats] = {}
-        for record in self.records:
-            group = self._group(record.label)
-            entry = by_group.get(group)
-            if entry is None:
-                entry = by_group[group] = LabelStats(group=group)
-            entry.count += 1
-            entry.wall_total += record.wall
-            entry.scheduled_total += record.scheduled
-        return by_group
-
-    def report(self, top: int = 12) -> str:
-        """Human-readable profile: throughput plus the *top* hottest groups."""
-        stats = sorted(self.stats().values(), key=lambda s: s.wall_total, reverse=True)
-        lines = [
-            f"fired events     : {len(self.records)}",
-            f"events/sec (wall): {self.events_per_second():,.0f}",
-        ]
-        if stats:
-            lines.append(f"{'label group':<28s} {'count':>8s} {'wall ms':>10s} {'mean us':>9s}")
-            for entry in stats[:top]:
-                lines.append(
-                    f"{entry.group:<28s} {entry.count:>8d} "
-                    f"{entry.wall_total * 1e3:>10.2f} {entry.wall_mean * 1e6:>9.1f}"
-                )
-        return "\n".join(lines)
-
     def clear(self) -> None:
-        """Drop all records and reset the wall window."""
-        self.records.clear()
-        self.runs.clear()
+        """Drop all totals and reset the wall window."""
+        self.groups.clear()
+        self.fired = 0
+        self.runs = 0
         self._wall_first = None
         self._wall_last = None

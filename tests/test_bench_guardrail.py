@@ -175,20 +175,6 @@ def test_env_tolerance_overrides(monkeypatch, env_name, flag):
     assert check_regression._env_tol(env_name, 1.0) == 1.0
 
 
-def test_scheduler_speedup_enforced():
-    baseline = _payload("engine_core")
-    baseline["scheduler_speedup_x"] = 1.3
-    ok = _payload("engine_core")
-    ok["scheduler_speedup_x"] = 0.9  # within the 1.6x band
-    assert check_regression.compare_payloads(baseline, ok) == []
-    collapsed = _payload("engine_core")
-    collapsed["scheduler_speedup_x"] = 0.5
-    violations = check_regression.compare_payloads(baseline, collapsed)
-    assert [v.metric for v in violations] == ["scheduler_speedup_x"]
-    # One-sided payloads are never enforced (new benchmark landing).
-    assert check_regression.compare_payloads(_payload(), collapsed) == []
-
-
 def test_fanout_speedup_enforced():
     baseline = _payload("dag_fanout")
     baseline["fanout_speedup_x"] = 5.4

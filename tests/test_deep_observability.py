@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from tests.golden_scenarios import result_to_dict
+from tests.recording_tracer import RecordingTracer
 
 from repro.chaos import ChaosController, default_campaign
 from repro.cloud.provider import CloudProvider
@@ -32,6 +33,7 @@ from repro.obs.slo import (
     latency_series,
 )
 from repro.obs.tracing import render_trace
+from repro.sim.trace import default_group
 from repro.strategies.single_region import SingleRegionPolicy
 from repro.workloads.genome_reconstruction import genome_reconstruction_workload
 
@@ -43,7 +45,7 @@ def _run_chaos_fleet(instrumented: bool):
     """One seeded chaos-campaign fleet, with or without instrumentation."""
     provider = CloudProvider(seed=11, tracing=instrumented)
     if instrumented:
-        provider.engine.trace = True
+        provider.engine.tracer = RecordingTracer()
     ChaosController(provider, default_campaign().without_kills()).install()
     provider.warmup_markets(24)
     controller = FleetController(
@@ -136,6 +138,22 @@ class TestHotPathProfiler:
         report = profile.report(top=5)
         for entry in top:
             assert entry.group in report
+
+    def test_profile_equals_fold_of_recorded_events(self, traced_chaos_fleet):
+        provider, _ = traced_chaos_fleet
+        tracer = provider.engine.tracer
+        folded = {}
+        for _, label, wall, scheduled in tracer.events:
+            group = default_group(label)
+            assert subsystem_for(group) == subsystem_for(label), label
+            count, wall_total, scheduled_total = folded.get(group, (0, 0.0, 0))
+            folded[group] = (count + 1, wall_total + wall, scheduled_total + scheduled)
+        profile = HotPathProfile.from_tracer(tracer)
+        assert {
+            entry.group: (entry.count, entry.wall_total, entry.scheduled_total)
+            for entry in profile.entries()
+        } == folded
+        assert profile.fired_events == len(tracer.events) == provider.engine.fired_events
 
     def test_profile_round_trips_through_payload(self, traced_chaos_fleet):
         provider, _ = traced_chaos_fleet

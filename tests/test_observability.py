@@ -9,6 +9,7 @@ sequences and whose metric totals reconcile with the
 """
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -28,10 +29,12 @@ from repro.obs import (
     validate_stream,
     write_jsonl,
 )
+from repro.obs.profiler import HotPathProfile
 from repro.sim.engine import SimulationEngine
 from repro.strategies import OnDemandPolicy, SingleRegionPolicy
 from repro.workloads import genome_reconstruction_workload
 from repro.workloads.base import synthetic_workload
+from tests.recording_tracer import RecordingTracer
 
 
 # ----------------------------------------------------------------------
@@ -187,18 +190,50 @@ class TestSpans:
 # ----------------------------------------------------------------------
 class TestEngineTracer:
     def test_traced_engine_records_labels_and_wall_time(self):
-        engine = SimulationEngine(seed=0, trace=True)
+        engine = SimulationEngine(seed=0, tracer=RecordingTracer())
         engine.call_in(1.0, lambda: None, label="a:one")
         engine.call_in(2.0, lambda: None, label="b:two")
         engine.run_until(5.0)
         assert engine.fired_events == 2
-        assert engine.tracer.as_tuples() == [(1.0, "a:one"), (2.0, "b:two")]
-        assert [r.label for r in engine.tracer.filter(prefix="a:")] == ["a:one"]
-        stats = engine.tracer.stats()
-        assert stats["a:one"].count == 1
-        assert stats["a:one"].wall_total >= 0.0
-        assert engine.tracer.events_per_second() > 0.0
-        assert "events/sec" in engine.tracer.report()
+        assert engine.tracer.timeline() == [(1.0, "a:one"), (2.0, "b:two")]
+        count, wall, scheduled = engine.tracer.groups["a:one"]
+        assert (count, scheduled) == (1, 0)
+        assert wall >= 0.0
+        assert (engine.tracer.fired, engine.tracer.runs) == (2, 1)
+        profile = HotPathProfile.from_tracer(engine.tracer)
+        assert profile.events_per_second() > 0.0
+        assert "events/sec" in profile.report()
+
+    def test_memory_is_bounded_by_label_groups(self):
+        # Per-entity labels (one spot request, one workload segment per
+        # event) must fold into their groups: the tracer's footprint
+        # depends on the number of groups, never on the event count.
+        n_events = 60_000
+        warmup = 2_000
+        engine = SimulationEngine(seed=0, trace=True)
+        fired = [0]
+
+        def step():
+            i = fired[0] = fired[0] + 1
+            if i % 2:
+                label = f"ec2:fulfill:sir-{i:06d}"
+            else:
+                label = f"exec:wl-{i:05d}:seg{i % 7}"
+            engine.call_in(1.0, step, label=label)
+
+        engine.call_in(1.0, step, label="ec2:fulfill:sir-000000")
+        tracemalloc.start()
+        try:
+            engine.run_until(float(warmup))
+            before = tracemalloc.get_traced_memory()[0]
+            engine.run_until(float(n_events))
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert engine.tracer.fired == n_events
+        assert set(engine.tracer.groups) == {"ec2:fulfill", "exec"}
+        assert sum(totals[0] for totals in engine.tracer.groups.values()) == n_events
+        assert growth < 64 * 1024, f"tracer grew {growth} bytes over {n_events - warmup} events"
 
     def test_untraced_engine_has_no_tracer(self):
         engine = SimulationEngine(seed=0)
@@ -208,14 +243,15 @@ class TestEngineTracer:
         assert not hasattr(engine, "trace_log")  # legacy tuple view is gone
 
     def test_reset_zeroes_fired_events_and_trace(self):
-        engine = SimulationEngine(seed=0, trace=True)
+        engine = SimulationEngine(seed=0, tracer=RecordingTracer())
         engine.call_in(1.0, lambda: None, label="x")
         engine.run_until(2.0)
         assert engine.fired_events == 1
         engine.reset()
         assert engine.fired_events == 0
         assert engine.now == 0.0
-        assert engine.tracer.as_tuples() == []
+        assert engine.tracer.events == []
+        assert (engine.tracer.groups, engine.tracer.fired) == ({}, 0)
 
 
 # ----------------------------------------------------------------------

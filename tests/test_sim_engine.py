@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.clock import HOUR, MINUTE, format_duration, hours, minutes
 from repro.sim.engine import SimulationEngine
+from tests.recording_tracer import RecordingTracer
 
 
 def test_clock_starts_at_zero():
@@ -121,10 +122,10 @@ def test_fired_events_counter():
 
 
 def test_trace_records_labels():
-    engine = SimulationEngine(trace=True)
+    engine = SimulationEngine(tracer=RecordingTracer())
     engine.call_at(1.0, lambda: None, label="one")
     engine.run_until(2.0)
-    assert engine.tracer.as_tuples() == [(1.0, "one")]
+    assert engine.tracer.timeline() == [(1.0, "one")]
 
 
 def test_reset_rewinds_clock_and_drops_events():
@@ -149,31 +150,6 @@ def test_clock_helpers():
     assert minutes(3) == 3 * MINUTE
     assert format_duration(93784) == "1d 02:03:04"
     assert format_duration(42.9) == "00:00:42"
-
-# ----------------------------------------------------------------------
-# Scheduler selection
-# ----------------------------------------------------------------------
-def test_scheduler_flag_selects_queue_class():
-    from repro.sim.events import BucketedEventQueue, EventQueue
-
-    assert isinstance(SimulationEngine()._queue, BucketedEventQueue)
-    assert isinstance(SimulationEngine(scheduler="heap")._queue, EventQueue)
-    with pytest.raises(SchedulingError):
-        SimulationEngine(scheduler="fifo")
-
-
-def test_heap_and_wheel_engines_run_identically():
-    def drive(engine):
-        fired = []
-        engine.every(7.0, lambda: fired.append(("periodic", engine.now)))
-        engine.call_at(10.0, lambda: engine.call_in(0.0, lambda: fired.append(("child", engine.now))))
-        doomed = engine.call_at(15.0, lambda: fired.append(("doomed", engine.now)))
-        engine.call_at(12.0, doomed.cancel)
-        engine.run_until(60.0)
-        return fired
-
-    assert drive(SimulationEngine(scheduler="heap")) == drive(SimulationEngine(scheduler="wheel"))
-
 
 # ----------------------------------------------------------------------
 # Batched periodic work
@@ -258,13 +234,13 @@ def test_tick_hooks_fire_between_distinct_timestamps():
 
 def test_tick_hooks_do_not_perturb_event_stream():
     def drive(install_hook):
-        engine = SimulationEngine(trace=True)
+        engine = SimulationEngine(tracer=RecordingTracer())
         if install_hook:
             engine.add_tick_hook(lambda: None)
         engine.every(7.0, lambda: None, label="tick")
         engine.call_at(10.0, lambda: None, label="once")
         engine.run_until(50.0)
-        return engine.fired_events, engine.tracer.as_tuples()
+        return engine.fired_events, engine.tracer.timeline()
 
     assert drive(False) == drive(True)
 

@@ -1,11 +1,9 @@
-"""Unit tests for the event queues.
+"""Unit tests for the event queue.
 
-Every contract test runs against both schedulers — the binary-heap
-reference :class:`EventQueue` and the calendar-queue
-:class:`BucketedEventQueue` — because the engine treats them as
-interchangeable.  The equivalence section drives both with identical
-pseudo-random schedules (ties, cancels, re-entrant pushes) and asserts
-identical fire order, which is the determinism contract the golden
+The property section drives :class:`EventQueue` with seeded
+pseudo-random schedules (ties, cancels, re-entrant pushes) and checks
+the fire order against a list-scan reference: pops follow
+``(time, seq)`` exactly, which is the determinism contract the golden
 fixtures rely on.
 """
 
@@ -14,12 +12,13 @@ import random
 import pytest
 
 from repro.errors import SchedulingError
-from repro.sim.events import COMPACT_MIN_ENTRIES, BucketedEventQueue, EventQueue
+from repro.sim.events import COMPACT_MIN_ENTRIES, EventQueue
 
-QUEUES = [EventQueue, BucketedEventQueue]
+# The ``heap`` id is kept so test names stay stable across releases.
+QUEUES = [EventQueue]
 
 
-@pytest.fixture(params=QUEUES, ids=["heap", "wheel"])
+@pytest.fixture(params=QUEUES, ids=["heap"])
 def queue(request):
     return request.param()
 
@@ -64,6 +63,15 @@ def test_cancel_twice_is_idempotent(queue):
     assert len(queue) == 0
 
 
+def test_cancel_after_pop_leaves_live_count_alone(queue):
+    fired = queue.push(1.0, lambda: None)
+    queue.push(2.0, lambda: None)
+    assert queue.pop() is fired
+    fired.cancel()  # e.g. a periodic task cancelled from its own callback
+    assert len(queue) == 1
+    assert queue.pop().time == 2.0
+
+
 def test_peek_time_skips_cancelled_head(queue):
     head = queue.push(1.0, lambda: None)
     queue.push(3.0, lambda: None)
@@ -103,18 +111,9 @@ def test_pushes_odometer_counts_lifetime_schedules(queue):
     assert queue.pushes == 2
 
 
-# ----------------------------------------------------------------------
-# Wheel-specific behaviour
-# ----------------------------------------------------------------------
-def test_wheel_rejects_nonpositive_bucket_width():
-    with pytest.raises(SchedulingError):
-        BucketedEventQueue(bucket_width=0.0)
-
-
-def test_wheel_reentrant_push_into_active_bucket_preserves_order():
-    # Draining bucket [0, 60): a push at the *current* timestamp from a
-    # callback must still fire this tick, after already-scheduled peers.
-    queue = BucketedEventQueue(bucket_width=60.0)
+def test_reentrant_push_at_current_time_fires_after_peers(queue):
+    # A push at the *current* timestamp from a callback must still fire
+    # this tick, after already-scheduled peers.
     fired = []
     queue.push(10.0, lambda: queue.push(10.0, lambda: fired.append("child"), label="child"))
     queue.push(10.0, lambda: fired.append("sibling"), label="sibling")
@@ -124,24 +123,14 @@ def test_wheel_reentrant_push_into_active_bucket_preserves_order():
     assert fired == ["sibling", "child", "later"]
 
 
-def test_wheel_push_behind_active_bucket_lands_in_drain_list():
-    queue = BucketedEventQueue(bucket_width=10.0)
-    queue.push(25.0, lambda: None, label="ahead")
-    assert queue.pop().label == "ahead"  # activates bucket index 2
-    queue.push(5.0, lambda: None, label="behind")  # bucket 0 < active 2
-    assert queue.pop().label == "behind"
-
-
 # ----------------------------------------------------------------------
 # Lazy-cancel compaction
 # ----------------------------------------------------------------------
-def _stored_entries(queue):
-    if isinstance(queue, EventQueue):
-        return len(queue._heap)
-    return queue._total
+def _fire_order(events):
+    return [event.label for event in sorted(events, key=lambda e: (e.time, e.seq))]
 
 
-@pytest.mark.parametrize("queue_cls", QUEUES, ids=["heap", "wheel"])
+@pytest.mark.parametrize("queue_cls", QUEUES, ids=["heap"])
 def test_compaction_reclaims_cancelled_entries(queue_cls):
     queue = queue_cls()
     events = [queue.push(float(i % 7), lambda: None, label=str(i)) for i in range(400)]
@@ -151,14 +140,14 @@ def test_compaction_reclaims_cancelled_entries(queue_cls):
     # whenever more than half the stored entries are dead), so the 300
     # cancelled entries cannot all still be resident.
     assert len(queue) == 100
-    assert _stored_entries(queue) <= 2 * len(queue)
+    assert len(queue._heap) <= 2 * len(queue)
     order = []
     while queue:
         order.append(queue.pop().label)
-    assert order == [event.label for event in sorted(events[300:], key=lambda e: e.sort_key())]
+    assert order == _fire_order(events[300:])
 
 
-@pytest.mark.parametrize("queue_cls", QUEUES, ids=["heap", "wheel"])
+@pytest.mark.parametrize("queue_cls", QUEUES, ids=["heap"])
 def test_small_queues_skip_compaction(queue_cls):
     queue = queue_cls()
     events = [queue.push(float(i), lambda: None) for i in range(COMPACT_MIN_ENTRIES // 2)]
@@ -169,19 +158,15 @@ def test_small_queues_skip_compaction(queue_cls):
     assert queue.pop() is None
 
 
-def test_wheel_compaction_mid_drain_preserves_order():
-    queue = BucketedEventQueue(bucket_width=10.0)
+def test_compaction_mid_drain_preserves_order(queue):
     events = [queue.push(float(i % 30), lambda: None, label=str(i)) for i in range(300)]
-    # Consume a prefix so the drain list has a consumed region, then
-    # cancel enough to trigger a rebuild mid-drain.
+    # Consume a prefix, then cancel enough to trigger a rebuild
+    # mid-drain.
     popped = [queue.pop().label for _ in range(5)]
     survivors = [event for event in events if event.label not in popped]
     for event in survivors[:250]:
         event.cancel()
-    expected = [
-        event.label
-        for event in sorted(survivors[250:], key=lambda e: e.sort_key())
-    ]
+    expected = _fire_order(survivors[250:])
     drained = []
     while queue:
         drained.append(queue.pop().label)
@@ -189,8 +174,43 @@ def test_wheel_compaction_mid_drain_preserves_order():
 
 
 # ----------------------------------------------------------------------
-# Property-style scheduler equivalence (heap vs wheel)
+# Property-style fire order against a list-scan reference
 # ----------------------------------------------------------------------
+class _ReferenceQueue:
+    """List-scan reference: pops the live entry with the least (time, seq)."""
+
+    def __init__(self):
+        self._entries = []
+        self._seq = 0
+
+    def __bool__(self):
+        return any(not event.cancelled for event in self._entries)
+
+    def push(self, time, callback, label=""):
+        event = _ReferenceEvent(time, self._seq, callback, label)
+        self._seq += 1
+        self._entries.append(event)
+        return event
+
+    def pop(self):
+        live = [event for event in self._entries if not event.cancelled]
+        if not live:
+            return None
+        event = min(live, key=lambda e: (e.time, e.seq))
+        self._entries.remove(event)
+        return event
+
+
+class _ReferenceEvent:
+    def __init__(self, time, seq, callback, label):
+        self.time, self.seq, self.callback, self.label = time, seq, callback, label
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+        self.callback = None
+
+
 def _drive(queue, seed, steps=600):
     """Run a seeded op mix against *queue*; return the fire order.
 
@@ -222,7 +242,7 @@ def _drive(queue, seed, steps=600):
     for _ in range(steps):
         action = rng.random()
         if action < 0.55 or not queue:
-            # Cluster times so ties are common across bucket widths.
+            # Cluster times so same-timestamp ties are common.
             schedule(float(rng.randrange(0, 50)) * 2.5)
         elif action < 0.75 and pending:
             rng.choice(pending).cancel()
@@ -238,13 +258,5 @@ def _drive(queue, seed, steps=600):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_heap_and_wheel_fire_identically(seed):
-    assert _drive(EventQueue(), seed) == _drive(BucketedEventQueue(), seed)
-
-
-@pytest.mark.parametrize("width", [0.5, 7.0, 60.0, 1e9])
-def test_fire_order_is_bucket_width_invariant(width):
-    # Correctness must never depend on the tuning knob: a tiny wheel
-    # (every event its own bucket) and a giant one (everything in one
-    # bucket) both match the heap reference.
-    assert _drive(BucketedEventQueue(bucket_width=width), 3) == _drive(EventQueue(), 3)
+def test_fire_order_matches_sorted_reference(seed):
+    assert _drive(EventQueue(), seed) == _drive(_ReferenceQueue(), seed)
