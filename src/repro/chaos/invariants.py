@@ -205,8 +205,7 @@ class NoBillingPastEndCheck(InvariantCheck):
         return [
             f"{entry.category.value} ${entry.amount:.4f} at t={entry.time:.0f} "
             f"(run ended t={ctx.result.ended_at:.0f})"
-            for entry in ctx.provider.ledger.entries
-            if entry.time > ctx.result.ended_at
+            for entry in ctx.provider.ledger.entries_after(ctx.result.ended_at)
         ]
 
 

@@ -15,7 +15,9 @@ to:
   instance — giving workloads the checkpoint window the paper relies
   on.
 * **Billing** accrues per-second at the market's current spot price
-  (or the fixed on-demand price) into the provider's ledger.
+  (or the fixed on-demand price) into the provider's ledger.  Billing
+  state of live instances is columnar (:class:`_LiveTable`), so each
+  hazard tick bills and samples every instance in one array pass.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cloud.billing import CostCategory
 from repro.cloud.interruptions import (
@@ -41,7 +45,9 @@ from repro.obs import EventType
 from repro.sim.clock import HOUR
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cloud.market import SpotMarket
     from repro.cloud.provider import CloudProvider
+    from repro.obs.metrics import BoundCounter
 
 
 class InstanceState(enum.Enum):
@@ -84,7 +90,10 @@ class Instance:
         state: Current lifecycle state.
         tag: Attribution tag (typically a workload id) used in billing.
         end_time: Termination/interruption timestamp, if ended.
-        accrued_cost: USD billed so far.
+
+    ``accrued_cost`` (USD billed so far) reads the instance's row of the
+    EC2 live table while the instance is live and is frozen when it
+    ends.
     """
 
     instance_id: str
@@ -96,15 +105,21 @@ class Instance:
     state: InstanceState = InstanceState.RUNNING
     tag: str = ""
     end_time: Optional[float] = None
-    accrued_cost: float = 0.0
-    _last_billed: float = field(default=0.0, repr=False)
     _detail: str = field(default="", repr=False)
-    #: Launch-time billing caches: the market (spot) / fixed on-demand
-    #: price and the bound cost counter, resolved once instead of per
-    #: billing window.
-    _market: object = field(default=None, repr=False)
-    _od_price: float = field(default=0.0, repr=False)
-    _cost_counter: object = field(default=None, repr=False)
+    #: The live table holding this instance's billing row (None once
+    #: the instance has ended), the row index, and the final accrued
+    #: cost frozen at the end.
+    _table: Optional["_LiveTable"] = field(default=None, repr=False)
+    _row: int = field(default=-1, repr=False)
+    _accrued: float = field(default=0.0, repr=False)
+
+    @property
+    def accrued_cost(self) -> float:
+        """USD billed so far."""
+        table = self._table
+        if table is None:
+            return self._accrued
+        return float(table.accrued[self._row])
 
     @property
     def is_live(self) -> bool:
@@ -147,6 +162,89 @@ class SpotRequest:
 NoticeCallback = Callable[[Instance], None]
 
 
+class _LiveTable:
+    """Billing state of the live instances, one row each, in launch order.
+
+    Columns: last-billed time, accrued cost, spot flag, market slot
+    (-1 for on-demand), on-demand price, interrupting flag,
+    ``cost_accrued_usd`` counter slot, ledger source id and a live
+    flag; ``rows`` maps a row back to its :class:`Instance`.  A row
+    stays in place after its instance ends (live flag cleared) until
+    :meth:`compact` drops ended rows, which the EC2 service does only
+    between sweeps, so row indices are stable while a sweep runs.
+    """
+
+    #: The numpy columns, resized and compacted together.
+    COLUMNS = (
+        "billed", "accrued", "spot", "market", "od_price", "interrupting", "counter",
+        "source", "alive",
+    )
+
+    def __init__(self, capacity: int = 64) -> None:
+        self.rows: List[Optional[Instance]] = []
+        self.n = 0
+        self.ended = 0
+        self.billed = np.zeros(capacity)
+        self.accrued = np.zeros(capacity)
+        self.spot = np.zeros(capacity, dtype=bool)
+        self.market = np.zeros(capacity, dtype=np.intp)
+        self.od_price = np.zeros(capacity)
+        self.interrupting = np.zeros(capacity, dtype=bool)
+        self.counter = np.zeros(capacity, dtype=np.intp)
+        self.source = np.zeros(capacity, dtype=np.intp)
+        self.alive = np.zeros(capacity, dtype=bool)
+
+    def append(
+        self,
+        instance: Instance,
+        now: float,
+        market: int,
+        od_price: float,
+        counter: int,
+        source: int,
+    ) -> int:
+        """Add a live row for *instance*; returns its index."""
+        row = self.n
+        if row == len(self.billed):
+            for name in self.COLUMNS:
+                column = getattr(self, name)
+                setattr(self, name, np.concatenate((column, np.zeros_like(column))))
+        self.billed[row] = now
+        self.accrued[row] = 0.0
+        self.spot[row] = market >= 0
+        self.market[row] = market
+        self.od_price[row] = od_price
+        self.interrupting[row] = False
+        self.counter[row] = counter
+        self.source[row] = source
+        self.alive[row] = True
+        self.rows.append(instance)
+        self.n = row + 1
+        return row
+
+    def end(self, row: int) -> float:
+        """Mark *row* ended; returns its final accrued cost."""
+        self.alive[row] = False
+        self.rows[row] = None
+        self.ended += 1
+        return float(self.accrued[row])
+
+    def compact(self) -> None:
+        """Drop ended rows, keeping launch order, and renumber the rest."""
+        keep = np.flatnonzero(self.alive[: self.n])
+        count = len(keep)
+        for name in self.COLUMNS:
+            column = getattr(self, name)
+            column[:count] = column[keep]
+        self.alive[count : self.n] = False
+        rows = [self.rows[index] for index in keep.tolist()]
+        for row, instance in enumerate(rows):
+            instance._row = row
+        self.rows = rows
+        self.n = count
+        self.ended = 0
+
+
 class EC2Service:
     """The EC2 substrate, spanning every region of the provider."""
 
@@ -163,16 +261,17 @@ class EC2Service:
         self._telemetry = provider.telemetry
         self._rng = provider.engine.streams.get("ec2")
         self._instances: Dict[str, Instance] = {}
-        # Live subset of ``_instances``, insertion-ordered.  The hazard
-        # evaluator runs every EVALUATION_INTERVAL over *live* instances
-        # only; scanning the full (append-only) instance table made the
-        # evaluator O(all instances ever launched) per tick.  Relative
-        # order matches a live-filtered walk of ``_instances``, so RNG
-        # draw order is unchanged.
-        self._live: Dict[str, Instance] = {}
-        # cost_accrued_usd handles keyed by (region, purchasing option);
-        # binding skips the per-call label sort on the billing hot path.
-        self._cost_counters: Dict[Tuple[str, str], object] = {}
+        # Billing rows of the live instances, in launch order (the
+        # order the hazard sweep bills and draws in).
+        self._table = _LiveTable()
+        # Spot markets with launched instances; a row's market slot
+        # indexes this list.
+        self._markets: List["SpotMarket"] = []
+        self._market_slots: Dict[Tuple[str, str], int] = {}
+        # cost_accrued_usd handles, one per (region, purchasing option);
+        # a row's counter slot indexes ``_cost_counter_list``.
+        self._cost_counters: Dict[Tuple[str, str], int] = {}
+        self._cost_counter_list: List["BoundCounter"] = []
         self._requests: Dict[str, SpotRequest] = {}
         self._instance_counter = itertools.count()
         self._request_counter = itertools.count()
@@ -355,23 +454,35 @@ class EC2Service:
             launch_time=now,
             tag=tag,
         )
-        instance._last_billed = now
-        instance._detail = f"{instance_type} {instance.instance_id}"
+        instance._detail = detail = f"{instance_type} {instance.instance_id}"
         self._instances[instance.instance_id] = instance
-        self._live[instance.instance_id] = instance
         if lifecycle is InstanceLifecycle.SPOT:
             market = self._provider.market(region, instance_type)
             market.instances_running += 1
-            instance._market = market
+            market_slot = self._market_slots.get((region, instance_type))
+            if market_slot is None:
+                market_slot = self._market_slots[(region, instance_type)] = len(self._markets)
+                self._markets.append(market)
+            od_price = 0.0
+            category = CostCategory.SPOT_INSTANCE
         else:
-            instance._od_price = self._provider.price_book.od_price(region, instance_type)
+            market_slot = -1
+            od_price = self._provider.price_book.od_price(region, instance_type)
+            category = CostCategory.ON_DEMAND_INSTANCE
         counter_key = (region, lifecycle.value)
-        bound = self._cost_counters.get(counter_key)
-        if bound is None:
-            bound = self._cost_counters[counter_key] = self._telemetry.metrics.counter(
-                "cost_accrued_usd", "instance spend by region and purchasing option"
-            ).bound(region=region, purchasing_option=lifecycle.value)
-        instance._cost_counter = bound
+        counter_slot = self._cost_counters.get(counter_key)
+        if counter_slot is None:
+            counter_slot = self._cost_counters[counter_key] = len(self._cost_counter_list)
+            self._cost_counter_list.append(
+                self._telemetry.metrics.counter(
+                    "cost_accrued_usd", "instance spend by region and purchasing option"
+                ).bound(region=region, purchasing_option=lifecycle.value)
+            )
+        source = self._provider.ledger.register_source(category, region, tag, detail)
+        instance._table = self._table
+        instance._row = self._table.append(
+            instance, now, market_slot, od_price, counter_slot, source
+        )
         return instance
 
     def _release_capacity(self, instance: Instance) -> None:
@@ -388,40 +499,87 @@ class EC2Service:
         self._notice_callbacks.append(callback)
 
     def _evaluate_interruptions(self) -> None:
-        """Periodic hazard evaluation over every running spot instance.
+        """Periodic hazard tick: bill every live instance, sample every running spot one.
 
-        The interruption probability is memoized per (region, type) for
-        the tick — every instance of a market sees the same hazard at
-        one timestamp — and the Bernoulli draw replicates
-        :func:`sample_interruption` exactly (no draw at probability
-        zero), so the "ec2" stream consumes the same sequence as the
-        per-instance formulation.
+        One array pass over the live table.  Each live row is billed
+        ``price * dt / HOUR`` since its last mark (the market's current
+        spot price, or the on-demand price); each running spot row
+        whose market has a positive interruption probability gets one
+        Bernoulli draw, all from a single ``rng.random(k)``, which
+        consumes the "ec2" stream exactly as *k* scalar draws.
+
+        A hit interrupts synchronously, and notice and bus subscribers
+        may terminate or launch instances before the next row is
+        reached.  So the pass runs in segments: on the first hit the
+        stream is rewound and redrawn up to the hit, bills are
+        committed up to and including the hit row, the interruption
+        begins, and the next segment recomputes prices, probabilities
+        and draws from the row after it.  A market's probability is
+        memoised for the tick once a committed row has used it —
+        ``hazard_at`` reads ``instances_running``, which callbacks can
+        change.  Rows launched during the tick are neither billed nor
+        sampled until the next one.  Every ledger entry, total, accrued
+        cost, counter value and RNG draw equals what one scalar
+        bill-then-draw step per instance, in launch order, produces.
         """
+        table = self._table
+        if table.ended * 2 > table.n:
+            table.compact()
+        end = table.n
         now = self._engine.now
         rng = self._rng
-        probabilities: Dict[Tuple[str, str], float] = {}
-        for instance in list(self._live.values()):
-            state = instance.state
-            if state is not InstanceState.RUNNING and state is not InstanceState.INTERRUPTING:
-                continue  # ended by a notice callback earlier this tick
-            self._bill(instance, now)
-            if instance.lifecycle is not InstanceLifecycle.SPOT:
-                continue
-            if state is InstanceState.INTERRUPTING:
-                continue
-            market_key = (instance.region, instance.instance_type)
-            probability = probabilities.get(market_key)
+        memo: Dict[int, float] = {}
+        start = 0
+        while start < end:
+            amounts, bills = self._window(now, start, end)
+            candidates = start + np.flatnonzero(
+                table.alive[start:end] & table.spot[start:end] & ~table.interrupting[start:end]
+            )
+            markets = table.market[candidates]
+            probabilities = self._probabilities(now, markets, memo)
+            p = probabilities[markets]
+            drawn = p > 0.0
+            draw_rows = candidates[drawn]
+            hit = -1
+            if draw_rows.size:
+                state = rng.bit_generator.state
+                hits = np.flatnonzero(rng.random(draw_rows.size) < p[drawn])
+                if hits.size:
+                    first = int(hits[0])
+                    rng.bit_generator.state = state
+                    rng.random(first + 1)
+                    hit = int(draw_rows[first])
+            stop = end if hit < 0 else hit + 1
+            billed = np.flatnonzero(bills[: stop - start])
+            self._commit(now, start + billed, amounts[billed])
+            if hit < 0:
+                return
+            met = np.bincount(markets[candidates < stop], minlength=len(self._markets))
+            for market in np.flatnonzero(met).tolist():
+                memo.setdefault(market, float(probabilities[market]))
+            self._begin_interruption(table.rows[hit])
+            start = stop
+
+    def _probabilities(
+        self, now: float, markets: np.ndarray, memo: Dict[int, float]
+    ) -> np.ndarray:
+        """Interruption probability per market slot, for the slots in *markets*."""
+        probabilities = np.zeros(len(self._markets))
+        present = np.bincount(markets, minlength=len(self._markets))
+        for slot in np.flatnonzero(present).tolist():
+            probability = memo.get(slot)
             if probability is None:
-                probability = probabilities[market_key] = interruption_probability(
-                    instance._market.hazard_at(now), EVALUATION_INTERVAL
+                probability = interruption_probability(
+                    self._markets[slot].hazard_at(now), EVALUATION_INTERVAL
                 )
-            if probability > 0.0 and rng.random() < probability:
-                self._begin_interruption(instance)
+            probabilities[slot] = probability
+        return probabilities
 
     def _begin_interruption(self, instance: Instance) -> None:
         """Deliver the two-minute warning and schedule the reclaim."""
         now = self._engine.now
         instance.state = InstanceState.INTERRUPTING
+        self._table.interrupting[instance._row] = True
         self.interruption_log.append((now, instance.instance_id, instance.region, instance.tag))
         self._telemetry.bus.emit(
             EventType.INTERRUPTION_WARNING,
@@ -477,22 +635,27 @@ class EC2Service:
         Region blackouts pass ``fraction=1.0`` with one region; reclaim
         storms pass a probability and their own RNG stream.  Instances
         already inside a notice window are skipped.  Iteration follows
-        insertion order of the instance table, which is deterministic
-        for a given seed.
+        launch order, which is deterministic for a given seed.
 
         Returns:
             The number of instances that received a warning.
+
+        Raises:
+            ValueError: If *fraction* is below 1.0 without an *rng* to
+                draw with.
         """
+        if fraction < 1.0 and rng is None:
+            raise ValueError(f"fraction={fraction!r} needs an rng to sample instances with")
         wanted = set(regions) if regions is not None else None
+        table = self._table
+        live_spot = np.flatnonzero(table.alive[: table.n] & table.spot[: table.n])
         count = 0
-        for instance in list(self._live.values()):
-            if not instance.is_live or instance.state is InstanceState.INTERRUPTING:
-                continue
-            if instance.lifecycle is not InstanceLifecycle.SPOT:
-                continue
+        for instance in [table.rows[row] for row in live_spot.tolist()]:
+            if instance.state is not InstanceState.RUNNING:
+                continue  # ended or warned by an earlier notice's callbacks
             if wanted is not None and instance.region not in wanted:
                 continue
-            if fraction < 1.0 and rng is not None and float(rng.random()) >= fraction:
+            if fraction < 1.0 and float(rng.random()) >= fraction:
                 continue
             self._begin_interruption(instance)
             count += 1
@@ -505,8 +668,7 @@ class EC2Service:
         self._bill(instance, now)
         instance.state = InstanceState.INTERRUPTED
         instance.end_time = now
-        self._live.pop(instance.instance_id, None)
-        self._release_capacity(instance)
+        self._end(instance)
         tracer = self._telemetry.tracer
         if tracer is not None:
             attach_ctx = tracer.take(("instance", instance.instance_id))
@@ -540,24 +702,32 @@ class EC2Service:
             self._bill(instance, now)
             instance.state = InstanceState.TERMINATED
             instance.end_time = now
-            self._live.pop(instance_id, None)
-            self._release_capacity(instance)
+            self._end(instance)
+
+    def _end(self, instance: Instance) -> None:
+        """Retire an ended instance's row and return its capacity."""
+        instance._accrued = self._table.end(instance._row)
+        instance._table = None
+        instance._row = -1
+        self._release_capacity(instance)
 
     def _bill(self, instance: Instance, now: float) -> None:
-        """Accrue cost since the last billing mark at current prices."""
-        dt = now - instance._last_billed
+        """Accrue one instance's cost since its last billing mark."""
+        table = self._table
+        row = instance._row
+        dt = now - float(table.billed[row])
         if dt <= 0:
             return
         if instance.lifecycle is InstanceLifecycle.SPOT:
-            price = instance._market.spot_price
+            price = self._markets[int(table.market[row])].spot_price
             category = CostCategory.SPOT_INSTANCE
         else:
-            price = instance._od_price
+            price = float(table.od_price[row])
             category = CostCategory.ON_DEMAND_INSTANCE
         amount = price * dt / HOUR
-        instance.accrued_cost += amount
-        instance._last_billed = now
-        instance._cost_counter.inc(amount)
+        table.accrued[row] += amount
+        table.billed[row] = now
+        self._cost_counter_list[int(table.counter[row])].inc(amount)
         self._provider.ledger.charge(
             time=now,
             category=category,
@@ -567,12 +737,52 @@ class EC2Service:
             detail=instance._detail,
         )
 
+    def _window(self, now: float, start: int, end: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Window amounts of rows ``[start, end)`` and the mask of rows that bill.
+
+        ``price * dt / HOUR`` elementwise is the scalar formula's IEEE
+        operation order, so each amount is bit-identical to it.
+        """
+        table = self._table
+        dt = now - table.billed[start:end]
+        bills = table.alive[start:end] & (dt > 0)
+        # Slot -1 (on-demand rows) reads the trailing 0.0; np.where
+        # takes their on-demand price instead.
+        prices = np.array([market.spot_price for market in self._markets] + [0.0])
+        price = np.where(
+            table.spot[start:end], prices[table.market[start:end]], table.od_price[start:end]
+        )
+        return price * dt / HOUR, bills
+
+    def _commit(self, now: float, rows: np.ndarray, amounts: np.ndarray) -> None:
+        """Bill table *rows* their window *amounts* at *now*, in row order."""
+        if not rows.size:
+            return
+        table = self._table
+        table.accrued[rows] += amounts
+        table.billed[rows] = now
+        # Fold each cost_accrued_usd series left to right from its
+        # current value; series new to the registry are inserted in the
+        # order their first row appears, as one-by-one increments would.
+        slots = table.counter[rows]
+        counters = self._cost_counter_list
+        totals = np.array([counter.value() for counter in counters])
+        np.add.at(totals, slots, amounts)
+        first = np.full(len(counters), len(slots))
+        np.minimum.at(first, slots, np.arange(len(slots)))
+        touched = np.flatnonzero(first < len(slots))
+        touched = touched[np.argsort(first[touched], kind="stable")]
+        for slot, total in zip(touched.tolist(), totals[touched].tolist()):
+            counters[slot].advance_to(total)
+        self._provider.ledger.charge_window(now, table.source[rows], amounts)
+
     def settle_billing(self) -> None:
         """Bill every live instance up to the current time."""
         now = self._engine.now
-        for instance in self._live.values():
-            if instance.is_live:
-                self._bill(instance, now)
+        end = self._table.n
+        amounts, bills = self._window(now, 0, end)
+        billed = np.flatnonzero(bills)
+        self._commit(now, billed, amounts[billed])
 
     # ------------------------------------------------------------------
     # Describe APIs

@@ -115,6 +115,23 @@ class BoundCounter:
         values = self._counter._values
         values[self._key] = values.get(self._key, 0.0) + amount
 
+    def value(self) -> float:
+        """Current value of the bound series (0.0 if never incremented)."""
+        return self._counter._values.get(self._key, 0.0)
+
+    def advance_to(self, total: float) -> None:
+        """Set the series to *total*, the value a run of :meth:`inc` calls reached.
+
+        Lets a caller fold many increments outside the registry (e.g.
+        with ``np.add.at`` starting from :meth:`value`) and publish the
+        result once.
+        """
+        if total < self.value():
+            raise ReproError(
+                f"counter {self._counter.name!r} cannot decrease (to {total!r})"
+            )
+        self._counter._values[self._key] = total
+
 
 class Gauge:
     """Labelled gauge: a value that can move both ways."""
