@@ -75,9 +75,9 @@ def main() -> None:
     # for the 18 steps.
     dag = compile_workflow(workflow, "study1", output_bytes=2 * GiB)
     print(f"{workflow.name}: {len(workflow)} steps -> {dag.n_stages} stages")
-    for stage in dag.stages:
+    for stage in dag.workloads:
         deps = f"  after {list(stage.deps)}" if stage.deps else ""
-        print(f"  {stage.stage_id:20s} steps={list(stage.step_labels)}{deps}")
+        print(f"  {stage.workload_id:20s} steps={list(stage.step_labels)}{deps}")
 
     provider = CloudProvider(seed=11)
     provider.warmup_markets(24)
@@ -88,7 +88,9 @@ def main() -> None:
         provider, SpotVerseOptimizer(monitor, config), config, monitor=monitor
     )
 
-    result = controller.run_dags([dag], max_hours=48.0)
+    # A DAG is submitted as its stage workloads, through the same
+    # entry point as any fleet.
+    result = controller.run(dag.workloads, max_hours=48.0)
 
     serial_hours = dag.serial_duration() / HOUR
     print(f"\nserial makespan : {serial_hours:.2f} h (one instance)")

@@ -12,7 +12,6 @@ from repro.core.config import SpotVerseConfig
 from repro.core.controller import FleetController
 from repro.core.dag import (
     DagWorkload,
-    Stage,
     StageWorkload,
     StepGraph,
     StepPlanner,
@@ -57,7 +56,6 @@ __all__ = [
     "SpotVerse",
     "SpotVerseConfig",
     "SpotVerseOptimizer",
-    "Stage",
     "StageWorkload",
     "StepGraph",
     "StepPlanner",

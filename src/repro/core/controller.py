@@ -43,7 +43,6 @@ from repro.core.fleet.lifecycle import LifecycleService
 from repro.core.fleet.state import FleetStateStore
 from repro.core.policy import PlacementPolicy, PolicyContext
 from repro.core.result import FleetResult
-from repro.errors import ExperimentError
 from repro.sim.clock import HOUR, MINUTE
 from repro.workloads.base import Workload
 
@@ -168,19 +167,31 @@ class FleetController:
         self.submit(workloads)
         return self.wait(workloads, max_hours=max_hours, poll_interval=poll_interval)
 
+    def run_dags(
+        self,
+        dags: Sequence[DagWorkload],
+        max_hours: float = 120.0,
+        poll_interval: float = 5 * MINUTE,
+    ) -> FleetResult:
+        """:meth:`run` over the stage workloads of compiled DAGs."""
+        return self.run(
+            [w for dag in dags for w in dag.workloads], max_hours, poll_interval
+        )
+
     def submit(self, workloads: Sequence[Workload]) -> None:
-        """Register *workloads* and acquire their initial capacity."""
-        self._lifecycle.register(workloads)
-        placements = self._policy.initial_placements(workloads, self._ctx)
-        if len(placements) != len(workloads):
-            raise ExperimentError(
-                f"policy {self._policy.name!r} returned {len(placements)} placements "
-                f"for {len(workloads)} workloads"
-            )
-        for workload, placement in zip(workloads, placements):
-            self._capacity.acquire(
-                self._lifecycle.execution(workload.workload_id), placement
-            )
+        """Register *workloads* and acquire their initial capacity.
+
+        Plain workloads and DAG roots are placed at once, in one
+        batched decision; a :class:`~repro.core.dag.StageWorkload` with
+        dependencies is registered and placed when its last dependency
+        completes.  Independent steps fan out across instances, each
+        ready set placed by the same batched Algorithm-1 round.
+
+        Raises:
+            ExperimentError: When the batch is rejected (nothing is
+                registered then); see :meth:`DagCoordinator.submit`.
+        """
+        self._dag.submit(workloads)
 
     def wait(
         self,
@@ -188,74 +199,16 @@ class FleetController:
         max_hours: float = 120.0,
         poll_interval: float = 5 * MINUTE,
     ) -> FleetResult:
-        """Drive the engine until *workloads* finish (or the deadline)."""
+        """Drive the engine until *workloads* finish (or the deadline).
+
+        The result carries one record per *registered* workload; on a
+        deadline hit, stages whose dependencies never completed were
+        never released and do not appear.
+        """
         deadline = self._engine.now + max_hours * HOUR
         while not self._lifecycle.all_done(workloads) and self._engine.now < deadline:
             self._engine.run_until(min(self._engine.now + poll_interval, deadline))
         return self._lifecycle.build_result(workloads)
-
-    # ------------------------------------------------------------------
-    # DAG entry points (DAG-aware placement: the step is the unit)
-    # ------------------------------------------------------------------
-    def run_dags(
-        self,
-        dags: Sequence[DagWorkload],
-        max_hours: float = 120.0,
-        poll_interval: float = 5 * MINUTE,
-    ) -> FleetResult:
-        """Run compiled DAGs to completion (or the deadline).
-
-        Stages are registered and placed as their dependencies
-        complete; independent steps fan out across instances, each
-        placed by the same batched Algorithm-1 rounds whole fleets
-        use.  A linear workload compiled via
-        :func:`repro.core.dag.compile_workload` runs bit-identically
-        to :meth:`run` — the degenerate single-chain case.
-        """
-        self.submit_dags(dags)
-        return self.wait_dags(dags, max_hours=max_hours, poll_interval=poll_interval)
-
-    def submit_dags(self, dags: Sequence[DagWorkload]) -> None:
-        """Register *dags* and acquire capacity for their root stages."""
-        self._dag.submit(dags)
-
-    def wait_dags(
-        self,
-        dags: Sequence[DagWorkload],
-        max_hours: float = 120.0,
-        poll_interval: float = 5 * MINUTE,
-    ) -> FleetResult:
-        """Drive the engine until every stage finishes (or the deadline).
-
-        The result carries one record per *released* stage workload;
-        on a deadline hit, stages whose dependencies never completed
-        were never scheduled and do not appear.
-        """
-        deadline = self._engine.now + max_hours * HOUR
-        while not self._dag.all_done(dags) and self._engine.now < deadline:
-            self._engine.run_until(min(self._engine.now + poll_interval, deadline))
-        return self._lifecycle.build_result(self._dag.released_workloads(dags))
-
-    def restore_dags(self, dags: Sequence[DagWorkload]) -> None:
-        """Rebuild DAG progress and stage executions from the store.
-
-        Only for controllers that ran DAGs exclusively: the underlying
-        :meth:`LifecycleService.restore` needs a definition for every
-        stored workload, and this supplies the stage workloads of
-        *dags*.
-        """
-        self._dag.restore(dags)
-        self._interruption.recover_lost_instances()
-
-    def resume_dags(
-        self,
-        dags: Sequence[DagWorkload],
-        max_hours: float = 120.0,
-        poll_interval: float = 5 * MINUTE,
-    ) -> FleetResult:
-        """Rebuild from the state store and finish the DAG run."""
-        self.restore_dags(dags)
-        return self.wait_dags(dags, max_hours=max_hours, poll_interval=poll_interval)
 
     # ------------------------------------------------------------------
     # Teardown / restore (crash recovery over the durable store)
@@ -263,25 +216,28 @@ class FleetController:
     def teardown(self) -> None:
         """Discard this controller's in-process state, mid-run.
 
-        Pending boot/segment timers are cancelled (they lived in the
-        dead process) and the router endpoints detach.  The cloud-side
-        wiring and every byte of fleet state stay put — build a new
-        controller over ``state_store`` and :meth:`resume` to continue.
+        Pending boot/segment timers and any queued stage release are
+        cancelled (they lived in the dead process) and the router
+        endpoints detach.  The cloud-side wiring and every byte of
+        fleet state stay put — build a new controller over
+        ``state_store`` and :meth:`resume` to continue.
         """
         # Land staged writes first: the store is the only thing the next
         # controller can rebuild from, so nothing may die in the overlay.
         self.state_store.flush()
+        self._dag.teardown()
         self._lifecycle.teardown()
         self.state_store.router.unbind()
 
     def restore(self, workloads: Sequence[Workload]) -> None:
-        """Rebuild executions from the state store without running.
+        """Rebuild executions and DAG progress from the state store.
 
         Args:
-            workloads: Definitions of the stored workloads (state is
-                durable; definitions are code the client re-supplies).
+            workloads: Definitions of every submitted workload — plain
+                workloads and DAG stages alike (state is durable;
+                definitions are code the client re-supplies).
         """
-        self._lifecycle.restore(workloads)
+        self._dag.restore(workloads)
         self._interruption.recover_lost_instances()
 
     def resume(

@@ -1,4 +1,4 @@
-"""DAG-aware placement: the step planner behind ``run_dags``.
+"""DAG-aware placement: step graphs compiled to stage workloads.
 
 The paper's Galaxy workloads are DAGs of tool steps, but the fleet
 controller historically placed one spot instance per monolithic
@@ -12,10 +12,12 @@ costs only make sense per schedulable unit):
   Kahn-based cycle rejection and per-edge output bytes (the data a
   step ships to each downstream consumer).
 * **Stage condensation** — maximal linear chains of steps collapse
-  into one :class:`Stage`, executed through the existing
+  into one :class:`StageWorkload`, executed through the existing
   :class:`~repro.core.execution.WorkloadExecution` with one segment
-  per step.  Segments are exactly the checkpoint granularity, so
-  step-level checkpointing rides the existing
+  per step.  A stage carries its dependencies and input edges, so it
+  is submitted through ``FleetController.submit`` like any workload.
+  Segments are exactly the checkpoint granularity, so step-level
+  checkpointing rides the existing
   :class:`~repro.core.fleet.checkpoint.CheckpointBackend` protocol
   unchanged, and an interruption reschedules only the interrupted
   stage (plus the egress of re-fetching its inputs cross-region).
@@ -23,6 +25,8 @@ costs only make sense per schedulable unit):
   whose single stage *is* the original ``Workload`` object, so the
   whole-workload path is the degenerate single-chain case and stays
   bit-identical to the pre-DAG controller.
+* :class:`StepPlanner` — the controller's one dependency index: it
+  releases a waiting stage when its last dependency completes.
 * :func:`compile_workflow` — a Galaxy
   :class:`~repro.galaxy.workflow.Workflow` compiles directly into a
   step graph; each :class:`~repro.galaxy.workflow.WorkflowStep` keeps
@@ -171,163 +175,193 @@ class StepGraph:
 class StageWorkload(Workload):
     """A condensed chain of steps, schedulable as one workload.
 
-    The extra fields let downstream consumers (lifecycle telemetry,
-    decision provenance, ``obs explain``) attribute the workload back
-    to its DAG and steps without a registry lookup.
-    """
-
-    dag_id: str = ""
-    step_labels: Tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One placement unit of a compiled DAG.
+    The stage workload is the only submission unit that carries
+    dependencies: the controller releases it once every workload in
+    :attr:`deps` has completed.  ``dag_id`` and ``step_labels`` let
+    downstream consumers (lifecycle telemetry, decision provenance,
+    ``obs explain``) attribute the workload back to its DAG and steps
+    without a registry lookup.
 
     Attributes:
-        stage_id: The stage's workload id (``<dag id>:<first step>``
-            for compiled graphs; the original workload id for the
-            degenerate single-chain case).
-        workload: The schedulable workload (one segment per step).
+        dag_id: The DAG this stage belongs to (``""``: none).
         step_labels: The condensed chain's step labels, in order.
-        deps: Stage ids that must complete before this stage is ready.
-        input_edges: ``(producer stage id, bytes)`` pairs — the data
+        deps: Workload ids that must complete before this stage is
+            released (distinct, in declaration order).
+        input_edges: ``(producer workload id, bytes)`` pairs — the data
             this stage downloads at boot.  The coordinator resolves
             each producer to its completion region and the execution
             pays the cross-region transfer.
     """
 
-    stage_id: str
-    workload: Workload
-    step_labels: Tuple[str, ...]
+    dag_id: str = ""
+    step_labels: Tuple[str, ...] = ()
     deps: Tuple[str, ...] = ()
     input_edges: Tuple[Tuple[str, int], ...] = ()
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.workload_id in self.deps or len(set(self.deps)) != len(self.deps):
+            raise DagValidationError(
+                f"stage {self.workload_id!r}: deps must be distinct and exclude "
+                f"the stage itself, got {self.deps!r}"
+            )
+
+    # ``stage.stage_id`` / ``stage.workload`` keep compiled-DAG readers
+    # (perfbench's checks among them) working now that the stage and
+    # its workload are one object.
+    @property
+    def stage_id(self) -> str:
+        """The stage's id: its workload id."""
+        return self.workload_id
+
+    @property
+    def workload(self) -> "StageWorkload":
+        """The schedulable workload: the stage itself."""
+        return self
+
+
+def dependencies(workload: Workload) -> Tuple[str, ...]:
+    """The workload ids *workload* waits on (``()`` for a plain workload)."""
+    return workload.deps if isinstance(workload, StageWorkload) else ()
+
 
 class DagWorkload:
-    """A compiled DAG: stages in topological order, ready to submit.
+    """A compiled DAG: its stage workloads in topological order.
+
+    Submitting a DAG means submitting :attr:`workloads`; the container
+    only validates the compiled shape and answers questions about it.
 
     Raises:
         DagValidationError: On an empty DAG, duplicate stage ids, or a
-            stage depending on an unknown stage.
+            stage depending on a stage that does not precede it.
     """
 
-    def __init__(self, dag_id: str, stages: Sequence[Stage]) -> None:
+    def __init__(self, dag_id: str, workloads: Sequence[Workload]) -> None:
         if not dag_id:
             raise DagValidationError("dag_id must be non-empty")
-        if not stages:
+        if not workloads:
             raise DagValidationError(f"dag {dag_id!r} has no stages")
         self.dag_id = dag_id
-        self.stages: Tuple[Stage, ...] = tuple(stages)
-        self._by_id: Dict[str, Stage] = {}
-        for stage in self.stages:
-            if stage.stage_id in self._by_id:
+        self.workloads: Tuple[Workload, ...] = tuple(workloads)
+        self._by_id: Dict[str, Workload] = {}
+        for workload in self.workloads:
+            if workload.workload_id in self._by_id:
                 raise DagValidationError(
-                    f"dag {dag_id!r}: duplicate stage id {stage.stage_id!r}"
+                    f"dag {dag_id!r}: duplicate stage id {workload.workload_id!r}"
                 )
-            self._by_id[stage.stage_id] = stage
-        for stage in self.stages:
-            for dep in stage.deps:
-                if dep not in self._by_id:
+            self._by_id[workload.workload_id] = workload
+        seen: set = set()
+        for workload in self.workloads:
+            for dep in dependencies(workload):
+                if dep not in seen:
+                    problem = "a later" if dep in self._by_id else "unknown"
                     raise DagValidationError(
-                        f"dag {dag_id!r}: stage {stage.stage_id!r} depends on "
-                        f"unknown stage {dep!r}"
+                        f"dag {dag_id!r}: stage {workload.workload_id!r} depends on "
+                        f"{problem} stage {dep!r}"
                     )
+            seen.add(workload.workload_id)
 
-    def stage(self, stage_id: str) -> Stage:
-        """The stage with id *stage_id*."""
-        stage = self._by_id.get(stage_id)
-        if stage is None:
+    @property
+    def stages(self) -> Tuple[Workload, ...]:
+        """The stage workloads (same as :attr:`workloads`)."""
+        return self.workloads
+
+    def stage(self, stage_id: str) -> Workload:
+        """The stage workload with id *stage_id*."""
+        workload = self._by_id.get(stage_id)
+        if workload is None:
             raise DagValidationError(f"dag {self.dag_id!r} has no stage {stage_id!r}")
-        return stage
+        return workload
 
     def stage_ids(self) -> List[str]:
         """Stage ids in topological order."""
-        return [stage.stage_id for stage in self.stages]
-
-    def roots(self) -> List[Stage]:
-        """Stages with no dependencies (the initial ready set)."""
-        return [stage for stage in self.stages if not stage.deps]
-
-    @property
-    def workloads(self) -> List[Workload]:
-        """The stage workloads, in topological order."""
-        return [stage.workload for stage in self.stages]
+        return [workload.workload_id for workload in self.workloads]
 
     @property
     def n_stages(self) -> int:
-        return len(self.stages)
+        return len(self.workloads)
 
     @property
     def n_steps(self) -> int:
-        """Total steps across all stages."""
-        return sum(len(stage.step_labels) for stage in self.stages)
+        """Total steps across all stages (a plain workload is one step)."""
+        return sum(
+            len(workload.step_labels) if isinstance(workload, StageWorkload) else 1
+            for workload in self.workloads
+        )
 
     def serial_duration(self) -> float:
         """Total compute seconds — the one-instance serial makespan."""
-        return sum(stage.workload.total_duration for stage in self.stages)
+        return sum(workload.total_duration for workload in self.workloads)
 
     def __len__(self) -> int:
-        return len(self.stages)
+        return len(self.workloads)
 
 
 class StepPlanner:
-    """Ready-set tracking over a compiled DAG.
+    """The dependency index: which submitted stages wait on which.
 
-    Pure bookkeeping — the
-    :class:`~repro.core.fleet.coordinator.DagCoordinator` drives one
-    planner per DAG and owns all cloud-side effects.
+    One index serves a whole controller.  It holds entries only for
+    stages with dependencies (remaining-dependency counts) or
+    dependents (dependent lists, in submission order), and drops each
+    entry once it is spent, so plain workloads and finished DAGs leave
+    nothing behind.  Pure bookkeeping — the
+    :class:`~repro.core.fleet.coordinator.DagCoordinator` owns every
+    cloud-side effect.
     """
 
-    def __init__(self, dag: DagWorkload) -> None:
-        self.dag = dag
-        self._done: set = set()
-        self._released: set = set()
+    def __init__(self) -> None:
+        self._remaining: Dict[str, int] = {}
+        self._dependents: Dict[str, List[Workload]] = {}
 
-    @property
-    def done(self) -> frozenset:
-        """Completed stage ids."""
-        return frozenset(self._done)
+    def add(self, workload: Workload, pending: Sequence[str]) -> bool:
+        """Index *workload* as waiting on the distinct ids *pending*.
 
-    @property
-    def released(self) -> frozenset:
-        """Stage ids already handed to the controller."""
-        return frozenset(self._released)
+        Returns ``True`` (and indexes nothing) when *pending* is empty:
+        the workload is ready now.
+        """
+        if not pending:
+            return True
+        self._remaining[workload.workload_id] = len(pending)
+        for dep in pending:
+            self._dependents.setdefault(dep, []).append(workload)
+        return False
 
-    def ready(self) -> List[Stage]:
-        """Unreleased stages whose dependencies have all completed."""
-        return [
-            stage
-            for stage in self.dag.stages
-            if stage.stage_id not in self._released
-            and all(dep in self._done for dep in stage.deps)
-        ]
-
-    def mark_released(self, stage_id: str) -> None:
-        """Record that *stage_id* was handed to the controller."""
-        self.dag.stage(stage_id)
-        self._released.add(stage_id)
-
-    def mark_done(self, stage_id: str) -> List[Stage]:
+    def mark_done(self, workload_id: str) -> List[Workload]:
         """Record a completion; returns the stages it made ready.
 
+        Ready stages come back in submission order and leave the
+        index: the caller releases them.
+
         Raises:
-            DagValidationError: On an unknown stage or a completion
-                for a stage that was never released.
+            DagValidationError: For a completion of a stage that is
+                still waiting on its dependencies.
         """
-        if stage_id not in self._released:
+        if workload_id in self._remaining:
             raise DagValidationError(
-                f"dag {self.dag.dag_id!r}: stage {stage_id!r} completed "
-                "without being released"
+                f"stage {workload_id!r} completed without being released"
             )
-        self._done.add(stage_id)
-        return self.ready()
+        dependents = self._dependents.pop(workload_id, None)
+        if dependents is None:
+            return []
+        ready: List[Workload] = []
+        remaining = self._remaining
+        for dependent in dependents:
+            dependent_id = dependent.workload_id
+            left = remaining[dependent_id] - 1
+            if left:
+                remaining[dependent_id] = left
+            else:
+                del remaining[dependent_id]
+                ready.append(dependent)
+        return ready
 
-    @property
-    def all_done(self) -> bool:
-        """Whether every stage has completed."""
-        return len(self._done) == len(self.dag.stages)
+    def waiting(self, workload_id: str) -> bool:
+        """Whether *workload_id* is indexed and not yet released."""
+        return workload_id in self._remaining
 
+    def __len__(self) -> int:
+        """Index entries held: waiting stages plus producers with dependents."""
+        return len(self._remaining) + len(self._dependents)
 
 # ----------------------------------------------------------------------
 # Compilation: graphs / workflows / linear workloads -> DagWorkload
@@ -406,7 +440,7 @@ def compile_graph(
         stage_ids.append(stage_id)
         for task in chain:
             stage_of_label[task.label] = stage_id
-    stages: List[Stage] = []
+    stages: List[Workload] = []
     for stage_id, chain in zip(stage_ids, chains):
         labels = tuple(task.label for task in chain)
         in_chain = set(labels)
@@ -430,23 +464,18 @@ def compile_graph(
             for producer in deps
             for by_label in [edge_sources[producer]]
         )
-        workload = StageWorkload(
-            workload_id=stage_id,
-            kind=kind,
-            segment_durations=tuple(task.duration for task in chain),
-            payload=_chain_payload(chain),
-            checkpoint_bytes=checkpoint_bytes,
-            input_bytes=input_bytes if not deps else 0,
-            description=(
-                f"dag {dag_id} stage [{' -> '.join(labels)}] of {graph.name}"
-            ),
-            dag_id=dag_id,
-            step_labels=labels,
-        )
         stages.append(
-            Stage(
-                stage_id=stage_id,
-                workload=workload,
+            StageWorkload(
+                workload_id=stage_id,
+                kind=kind,
+                segment_durations=tuple(task.duration for task in chain),
+                payload=_chain_payload(chain),
+                checkpoint_bytes=checkpoint_bytes,
+                input_bytes=input_bytes if not deps else 0,
+                description=(
+                    f"dag {dag_id} stage [{' -> '.join(labels)}] of {graph.name}"
+                ),
+                dag_id=dag_id,
                 step_labels=labels,
                 deps=tuple(deps),
                 input_edges=input_edges,
@@ -458,22 +487,12 @@ def compile_graph(
 def compile_workload(workload: Workload) -> DagWorkload:
     """Compile a linear workload into its degenerate single-stage DAG.
 
-    The stage's workload **is** the original object — same id, same
-    segments, same payload — so submitting the compiled DAG drives the
-    exact ``register -> initial_placements -> acquire`` sequence the
-    monolithic path does, and the run is bit-identical to it (the
+    The stage **is** the original object — same id, same segments,
+    same payload — so submitting the compiled DAG submits exactly the
+    workload the monolithic path does, through the same code (the
     golden-equivalence guarantee the DAG refactor preserves).
     """
-    return DagWorkload(
-        workload.workload_id,
-        [
-            Stage(
-                stage_id=workload.workload_id,
-                workload=workload,
-                step_labels=(workload.workload_id,),
-            )
-        ],
-    )
+    return DagWorkload(workload.workload_id, [workload])
 
 
 def compile_workflow(
@@ -525,7 +544,6 @@ def compile_workflow(
 
 __all__ = [
     "DagWorkload",
-    "Stage",
     "StageWorkload",
     "StepGraph",
     "StepPlanner",
@@ -534,5 +552,6 @@ __all__ = [
     "compile_workflow",
     "compile_workload",
     "condense_chains",
+    "dependencies",
     "StepPayload",
 ]

@@ -71,7 +71,7 @@ class LifecycleService:
     ) -> None:
         """Call *listener* with each execution the moment it completes.
 
-        The DAG coordinator uses this to release downstream steps;
+        The coordinator uses this to release dependent stages;
         listeners run synchronously inside the completing event, after
         the ``workload.done`` emission and completion accounting.
         """
@@ -96,25 +96,11 @@ class LifecycleService:
     # Registration
     # ------------------------------------------------------------------
     def register(self, workloads: Sequence["Workload"]) -> None:
-        """Admit *workloads* into the fleet.
+        """Create and persist executions for *workloads*.
 
-        Raises:
-            ExperimentError: On an empty fleet, duplicate ids, or ids
-                already used on this control plane.
+        The :class:`~repro.core.fleet.coordinator.DagCoordinator`
+        validated the batch (ids fresh and distinct) before calling.
         """
-        if not workloads:
-            raise ExperimentError("fleet must contain at least one workload")
-        ids = [workload.workload_id for workload in workloads]
-        if len(set(ids)) != len(ids):
-            raise ExperimentError(f"duplicate workload ids in fleet: {ids!r}")
-        already_known = [
-            wid for wid in ids if wid in self._executions or self._store.has_workload(wid)
-        ]
-        if already_known:
-            raise ExperimentError(
-                f"workload ids already used by an earlier fleet on this "
-                f"controller: {already_known!r}"
-            )
         for workload in workloads:
             execution = WorkloadExecution(
                 workload=workload,
@@ -166,11 +152,13 @@ class LifecycleService:
             listener(execution)
 
     def all_done(self, workloads: Sequence["Workload"]) -> bool:
-        """Whether every workload in *workloads* has finished."""
-        return all(
-            self._executions[w.workload_id].state is ExecutionState.DONE
-            for w in workloads
-        )
+        """Whether every workload in *workloads* is registered and finished."""
+        executions = self._executions
+        for workload in workloads:
+            execution = executions.get(workload.workload_id)
+            if execution is None or execution.state is not ExecutionState.DONE:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Restore (crash/teardown recovery)
@@ -228,7 +216,11 @@ class LifecycleService:
     # Result assembly
     # ------------------------------------------------------------------
     def build_result(self, workloads: Sequence["Workload"]) -> FleetResult:
-        """Settle billing and assemble the :class:`FleetResult`."""
+        """Settle billing and assemble the :class:`FleetResult`.
+
+        Workloads never registered — stages whose dependencies did not
+        complete before the deadline — have no record.
+        """
         self._provider.ec2.settle_billing()
         # Stop anything still running (deadline hit) and release
         # untracked capacity.
@@ -238,7 +230,9 @@ class LifecycleService:
         records = []
         ledger = self._provider.ledger
         for workload in workloads:
-            execution = self._executions[workload.workload_id]
+            execution = self._executions.get(workload.workload_id)
+            if execution is None:
+                continue
             execution.record.cost = ledger.total_for_tag(workload.workload_id)
             self._store.save_execution(execution)
             records.append(execution.record)

@@ -148,7 +148,7 @@ class FleetStateStore:
             :meth:`assign_tenant` before registration, everything else
             defaults to :data:`DEFAULT_TENANT` — so per-shard scans,
             flush batches, and :meth:`state_counts` stay O(shard)
-            instead of O(fleet).  The meta / dags / tenants tables are
+            instead of O(fleet).  The meta / tenants tables are
             control-plane-small and stay unsharded.
     """
 
@@ -172,7 +172,6 @@ class FleetStateStore:
         self.instances_table = f"{prefix}-instances"
         self.requests_table = f"{prefix}-requests"
         self.meta_table = f"{prefix}-meta"
-        self.dags_table = f"{prefix}-dags"
         self.tenants_table = f"{prefix}-tenants"
 
         def shard_names(base: str) -> List[str]:
@@ -192,7 +191,6 @@ class FleetStateStore:
         dynamodb.create_table(
             self.meta_table, partition_key="section", sort_key="key", metered=False
         )
-        dynamodb.create_table(self.dags_table, partition_key="dag_id", metered=False)
         dynamodb.create_table(self.tenants_table, partition_key="tenant_id", metered=False)
         # Write-through overlay: mutations stage here (keyed by the
         # table's ``(partition, sort)`` tuple; ``None`` is a tombstone)
@@ -205,7 +203,6 @@ class FleetStateStore:
             for table in group:
                 flush_tables.append((table, table[len(prefix) + 1:]))
         flush_tables.append((self.meta_table, "meta"))
-        flush_tables.append((self.dags_table, "dags"))
         flush_tables.append((self.tenants_table, "tenants"))
         self._flush_tables = tuple(flush_tables)
         for table, _ in self._flush_tables:
@@ -579,43 +576,6 @@ class FleetStateStore:
             rows = self._overlay_scan(table, rows, "request_id")
             pairs.extend((item["request_id"], item["workload_id"]) for item in rows)
         return pairs
-
-    # ------------------------------------------------------------------
-    # DAG progress (DAG-aware placement)
-    # ------------------------------------------------------------------
-    def save_dag(self, item: Dict[str, Any]) -> None:
-        """Persist one DAG's durable progress (upsert).
-
-        The item is the coordinator's ``dag_item``: stage ids, the
-        completed set, and each completed stage's completion region
-        (what the egress model needs to re-price input edges after a
-        restore).  Stage *definitions* are code and are re-supplied on
-        resume, exactly like workload definitions.
-        """
-        self._stage_put(
-            self.dags_table,
-            (item["dag_id"], None),
-            item,
-            scope="fleet-state:save-dag",
-        )
-
-    def dag_item(self, dag_id: str) -> Optional[Dict[str, Any]]:
-        """The stored progress of one DAG, or ``None``."""
-        pending = self._pending[self.dags_table]
-        key = (dag_id, None)
-        if key in pending:
-            staged = pending[key]
-            return dict(staged) if staged is not None else None
-        return self._read("fleet-state:dag-item", self._dynamodb.get_item, self.dags_table, dag_id)
-
-    def dag_items(self) -> List[Dict[str, Any]]:
-        """Every stored DAG, in submission order."""
-        rows = self._read("fleet-state:dag-items", self._dynamodb.scan, self.dags_table)
-        return self._overlay_scan(self.dags_table, rows, "dag_id")
-
-    def has_dag(self, dag_id: str) -> bool:
-        """Whether *dag_id* is registered."""
-        return self.dag_item(dag_id) is not None
 
     # ------------------------------------------------------------------
     # Tenant roster (multi-tenant control plane)

@@ -155,11 +155,11 @@ class ArmSpec:
             need the full stream.
         dag_factory: When set, the arm schedules *DAGs* instead of a
             flat fleet: the factory's compiled
-            :class:`~repro.core.dag.DagWorkload` list runs through
-            ``controller.run_dags`` (steps released topologically,
-            fanned out across instances) and ``workload_factory`` /
-            ``n_workloads`` are ignored.  Use a module-level factory to
-            stay picklable for pool execution.
+            :class:`~repro.core.dag.DagWorkload` list's stage workloads
+            run through ``controller.run`` (steps released
+            topologically, fanned out across instances) and
+            ``workload_factory`` / ``n_workloads`` are ignored.  Use a
+            module-level factory to stay picklable for pool execution.
     """
 
     name: str
@@ -255,10 +255,10 @@ def run_arm(spec: ArmSpec) -> ArmResult:
 
         ChaosController(provider, spec.campaign.without_kills()).install()
     if spec.dag_factory is not None:
-        fleet = controller.run_dags(spec.dag_factory(), max_hours=spec.max_hours)
+        workloads = [w for dag in spec.dag_factory() for w in dag.workloads]
     else:
         workloads = [spec.workload_factory(index) for index in range(spec.n_workloads)]
-        fleet = controller.run(workloads, max_hours=spec.max_hours)
+    fleet = controller.run(workloads, max_hours=spec.max_hours)
     # Unbind the control plane before shutdown: a late engine callback
     # (sweep tick, straggler fulfillment) must hit the router's inert
     # path, not a half-dismantled service.

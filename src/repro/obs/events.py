@@ -55,8 +55,8 @@ class EventType(enum.Enum):
     #: carrying the sim-time write latency; synchronous fault-free
     #: persists stay silent so pre-existing streams are unchanged.
     CHECKPOINT_PERSISTED = "checkpoint.persisted"
-    #: DAG-aware placement (``run_dags``): a compiled DAG entered the
-    #: fleet.  ``workload_id`` is empty (fleet-level); attrs carry
+    #: DAG-aware placement: a batch submitted the stages of a compiled
+    #: DAG.  ``workload_id`` is empty (fleet-level); attrs carry
     #: ``dag_id``, ``stages``, and ``steps``.
     DAG_SUBMITTED = "dag.submitted"
     #: A stage's dependencies all completed and it was handed to the

@@ -11,7 +11,9 @@ Two gates on the DAG refactor:
 * **Fan-out** — independent steps of a real DAG run concurrently on
   separate instances, cut makespan well below the serial path, pay
   cross-region egress per input edge, migrate only the interrupted
-  step, and survive a controller teardown mid-DAG.
+  step, and survive a controller teardown mid-DAG — also when plain
+  workloads share the controller, and also between a completion and
+  the release it triggers.
 """
 
 import json
@@ -43,7 +45,7 @@ from repro.errors import ExperimentError
 from repro.obs import EventType, Telemetry, render_explanation
 from repro.sim.clock import HOUR
 from repro.strategies import OnDemandPolicy
-from repro.workloads.base import WorkloadKind
+from repro.workloads.base import WorkloadKind, synthetic_workload
 
 GiB = 1024**3
 
@@ -72,13 +74,14 @@ def test_chain_restart_mid_run_is_bit_identical(fixture):
     policy = _make_policy(name, config, None)
     controller = FleetController(provider, policy, config)
     dags = [compile_workload(workload) for workload in _workloads()]
-    controller.submit_dags(dags)
+    stages = [stage for dag in dags for stage in dag.workloads]
+    controller.submit(stages)
     provider.engine.run_until(provider.engine.now + 3.0 * HOUR)
     store = controller.state_store
     controller.teardown()
     del controller
     rebuilt = FleetController(provider, policy, config, state_store=store)
-    result = rebuilt.resume_dags(dags, max_hours=MAX_HOURS)
+    result = rebuilt.resume(stages, max_hours=MAX_HOURS)
     provider.shutdown()
     assert result_to_dict(result) == fixture[name]
 
@@ -229,7 +232,7 @@ class TestFanOut:
     def test_teardown_mid_dag_resumes_to_completion(self):
         provider, controller = build_controller("on-demand")
         dag = compile_graph(fan_out_graph(8), "run1")
-        controller.submit_dags([dag])
+        controller.submit(dag.workloads)
         # Stop mid-fan-out: prep is done, samples are running.
         provider.engine.run_until(provider.engine.now + 1.5 * HOUR)
         store = controller.state_store
@@ -242,7 +245,7 @@ class TestFanOut:
             config,
             state_store=store,
         )
-        result = rebuilt.resume_dags([dag], max_hours=48.0)
+        result = rebuilt.resume(dag.workloads, max_hours=48.0)
         provider.shutdown()
         assert len(result.records) == dag.n_stages
         assert all(r.completed_at is not None for r in result.records)
@@ -250,20 +253,134 @@ class TestFanOut:
     def test_submit_rejects_duplicate_and_reused_dag_ids(self):
         provider, controller = build_controller("on-demand")
         dag = compile_graph(fan_out_graph(2), "run1")
-        with pytest.raises(ExperimentError, match="duplicate dag ids"):
-            controller.submit_dags([dag, dag])
-        controller.submit_dags([dag])
+        with pytest.raises(ExperimentError, match="duplicate workload ids"):
+            controller.submit(dag.workloads + dag.workloads)
+        controller.submit(dag.workloads)
         with pytest.raises(ExperimentError, match="already used"):
-            controller.submit_dags([compile_graph(fan_out_graph(2), "run1")])
+            controller.submit(compile_graph(fan_out_graph(2), "run1").workloads)
+        solo = StepGraph("other", [StepTask("solo", HOUR)])
+        with pytest.raises(ExperimentError, match="still in flight"):
+            controller.submit(compile_graph(solo, "run1").workloads)
         with pytest.raises(ExperimentError, match="at least one"):
-            controller.submit_dags([])
+            controller.submit([])
+        with pytest.raises(ExperimentError, match="does not precede"):
+            controller.submit(compile_graph(fan_out_graph(2), "run2").workloads[1:])
         provider.shutdown()
 
     def test_restore_requires_stored_progress(self):
         provider, controller = build_controller("on-demand")
-        with pytest.raises(ExperimentError, match="no stored progress"):
-            controller.restore_dags([compile_graph(fan_out_graph(2), "run9")])
+        with pytest.raises(ExperimentError, match="no stored state"):
+            controller.restore(compile_graph(fan_out_graph(2), "run9").workloads)
         provider.shutdown()
+
+
+class _Crash(Exception):
+    """The controller process dies (raised from inside an engine event)."""
+
+
+def _crash_at_release(engine, nth):
+    """Make the *nth* ``dag:release`` kill the controller instead of firing.
+
+    The replacement event raises out of the engine loop at the release's
+    own queue position, so the run stops after the completion that
+    queued the release and before the release itself.
+    """
+    real_call_in = engine.call_in
+    releases = []
+
+    def call_in(delay, fn, label=""):
+        if label == "dag:release":
+            releases.append(fn)
+            if len(releases) == nth:
+
+                def crash():
+                    raise _Crash()
+
+                return real_call_in(delay, crash, label)
+        return real_call_in(delay, fn, label)
+
+    engine.call_in = call_in
+
+
+class TestOneSubmissionPath:
+    @staticmethod
+    def _mixed():
+        return _workloads() + list(compile_graph(fan_out_graph(4), "run1").workloads)
+
+    def test_compiled_workload_runs_the_plain_path(self):
+        streams = []
+        for via_dags in (False, True):
+            provider, controller = build_controller("spotverse")
+            if via_dags:
+                controller.run_dags([compile_workload(w) for w in _workloads()])
+            else:
+                controller.run(_workloads())
+            streams.append([event.to_dict() for event in provider.telemetry.bus])
+            provider.shutdown()
+        assert streams[0] == streams[1]
+        assert not any(e["type"].startswith("dag.") for e in streams[0])
+
+    def test_rejected_submit_changes_nothing(self):
+        provider, controller = build_controller("on-demand")
+        plain = synthetic_workload("x", duration_hours=1.0, n_segments=1)
+        controller.submit([plain])
+        store = controller.state_store
+        planner = controller.services["dag"].planner
+        dag = compile_graph(fan_out_graph(2), "run1")
+        bus_len, rows = len(provider.telemetry.bus), store.workload_items()
+        rejected = [
+            dag.workloads + (synthetic_workload("x", duration_hours=1.0),),
+            dag.workloads[:1] + dag.workloads[:1],
+            dag.workloads[1:],
+        ]
+        for batch in rejected:
+            with pytest.raises(ExperimentError):
+                controller.submit(batch)
+            assert len(provider.telemetry.bus) == bus_len
+            assert store.workload_items() == rows
+            assert len(planner) == 0
+        controller.submit(dag.workloads)
+        result = controller.wait([plain, *dag.workloads], max_hours=48.0)
+        provider.shutdown()
+        assert len(result.records) == 1 + dag.n_stages
+        assert result.all_complete
+        assert len(planner) == 0
+        done = [e for e in provider.telemetry.bus if e.type is EventType.DAG_DONE]
+        assert [(e.time, e.attrs["dag_id"]) for e in done] == [
+            (max(r.completed_at for r in result.records[1:]), "run1")
+        ]
+
+    @pytest.mark.parametrize("nth", [1, 2])
+    def test_mixed_run_resumes_between_completion_and_release(self, nth):
+        provider, controller = build_controller("single-region")
+        expected = controller.run(self._mixed(), max_hours=48.0)
+        provider.shutdown()
+        assert expected.all_complete
+
+        provider, controller = build_controller("single-region")
+        engine = provider.engine
+        _crash_at_release(engine, nth)
+        workloads = self._mixed()
+        controller.submit(workloads)
+        with pytest.raises(_Crash):
+            controller.wait(workloads, max_hours=48.0)
+        del engine.call_in
+        lifecycle = controller.services["lifecycle"]
+        unreleased = [w for w in workloads if lifecycle.find(w.workload_id) is None]
+        store = controller.state_store
+        controller.teardown()
+        config = SCENARIOS["single-region"]()
+        rebuilt = FleetController(
+            provider, _make_policy("single-region", config, None), config,
+            state_store=store,
+        )
+        result = rebuilt.resume(self._mixed(), max_hours=48.0)
+        provider.shutdown()
+        # The crash dropped a queued release; the resumed controller
+        # re-queued it from the workload rows alone.
+        assert unreleased and all(w.deps for w in unreleased)
+        assert len(result.records) == len(workloads)
+        assert result_to_dict(result)["records"] == result_to_dict(expected)["records"]
 
 
 class TestDagDependenciesInvariant:

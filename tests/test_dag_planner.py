@@ -1,10 +1,13 @@
 """Unit tests for DAG-aware placement: graphs, condensation, planning.
 
 Covers the pure layer of :mod:`repro.core.dag` (validation, chain
-condensation, compilation, ready-set tracking), the per-edge egress
-charge on :class:`~repro.core.execution.WorkloadExecution`, and the
-per-provider determinism of the fleet-state namespace counter.
+condensation, compilation, the dependency index — checked against the
+list-scan ready rule it replaced), the per-edge egress charge on
+:class:`~repro.core.execution.WorkloadExecution`, and the per-provider
+determinism of the fleet-state namespace counter.
 """
+
+import random
 
 import pytest
 
@@ -12,7 +15,6 @@ from repro.cloud.billing import CostCategory, S3_CROSS_REGION_TRANSFER_PRICE
 from repro.cloud.provider import CloudProvider
 from repro.core.dag import (
     DagWorkload,
-    Stage,
     StageWorkload,
     StepGraph,
     StepPlanner,
@@ -21,6 +23,7 @@ from repro.core.dag import (
     compile_workflow,
     compile_workload,
     condense_chains,
+    dependencies,
 )
 from repro.core.execution import WorkloadExecution
 from repro.core.fleet import DynamoCheckpointBackend
@@ -32,6 +35,15 @@ from repro.sim.clock import HOUR
 from repro.workloads.base import WorkloadKind, synthetic_workload
 
 GiB = 1024**3
+
+
+def stage(workload_id, deps=()):
+    return StageWorkload(
+        workload_id=workload_id,
+        kind=WorkloadKind.STANDARD,
+        segment_durations=(1.0,),
+        deps=deps,
+    )
 
 
 def diamond() -> StepGraph:
@@ -215,16 +227,21 @@ class TestCompileGraph:
         assert ran == ["a", "b"]
 
     def test_dag_workload_validation(self):
-        stage = Stage("s1", synthetic_workload("s1", 1.0, 1), ("s1",))
+        s1 = stage("s1")
         with pytest.raises(DagValidationError, match="no stages"):
             DagWorkload("d", [])
         with pytest.raises(DagValidationError, match="duplicate stage id"):
-            DagWorkload("d", [stage, stage])
+            DagWorkload("d", [s1, s1])
         with pytest.raises(DagValidationError, match="unknown stage"):
-            DagWorkload(
-                "d",
-                [Stage("s2", synthetic_workload("s2", 1.0, 1), ("s2",), deps=("ghost",))],
-            )
+            DagWorkload("d", [stage("s2", deps=("ghost",))])
+        with pytest.raises(DagValidationError, match="later stage"):
+            DagWorkload("d", [stage("s2", deps=("s1",)), s1])
+
+    def test_stage_deps_must_be_distinct_and_exclude_itself(self):
+        with pytest.raises(DagValidationError, match="distinct"):
+            stage("s2", deps=("s1", "s1"))
+        with pytest.raises(DagValidationError, match="distinct"):
+            stage("s2", deps=("s2",))
 
 
 class TestCompileWorkload:
@@ -232,10 +249,10 @@ class TestCompileWorkload:
         workload = synthetic_workload("wl-1", duration_hours=2.0, n_segments=4)
         dag = compile_workload(workload)
         assert dag.dag_id == "wl-1"
-        (stage,) = dag.stages
-        assert stage.stage_id == "wl-1"
-        assert stage.workload is workload  # identity, not a copy
-        assert stage.deps == () and stage.input_edges == ()
+        (only,) = dag.workloads
+        assert only is workload  # identity, not a copy
+        assert dependencies(only) == ()
+        assert dag.n_stages == 1 and dag.n_steps == 1
 
 
 class TestCompileWorkflow:
@@ -275,34 +292,113 @@ class TestCompileWorkflow:
         assert dag.serial_duration() == workflow.total_duration()
 
 
+def index_dags(planner, dags):
+    """Index every stage of *dags*; returns the roots, in order."""
+    return [
+        w for dag in dags for w in dag.workloads if planner.add(w, dependencies(w))
+    ]
+
+
 class TestStepPlanner:
     def test_ready_release_done_lifecycle(self):
-        planner = StepPlanner(compile_graph(diamond(), "run1"))
-        assert [s.stage_id for s in planner.ready()] == ["run1:a"]
-        planner.mark_released("run1:a")
-        assert planner.ready() == []
+        planner = StepPlanner()
+        roots = index_dags(planner, [compile_graph(diamond(), "run1")])
+        assert [w.workload_id for w in roots] == ["run1:a"]
+        assert planner.waiting("run1:d") and not planner.waiting("run1:a")
         newly = planner.mark_done("run1:a")
-        assert [s.stage_id for s in newly] == ["run1:b", "run1:c"]
-        for sid in ("run1:b", "run1:c"):
-            planner.mark_released(sid)
+        assert [w.workload_id for w in newly] == ["run1:b", "run1:c"]
         assert planner.mark_done("run1:b") == []
         newly = planner.mark_done("run1:c")
-        assert [s.stage_id for s in newly] == ["run1:d"]
-        planner.mark_released("run1:d")
-        assert not planner.all_done
-        planner.mark_done("run1:d")
-        assert planner.all_done
-        assert planner.done == frozenset(planner.dag.stage_ids())
+        assert [w.workload_id for w in newly] == ["run1:d"]
+        assert len(planner) == 0  # spent entries are dropped
+        assert planner.mark_done("run1:d") == []
 
     def test_completion_without_release_rejected(self):
-        planner = StepPlanner(compile_graph(diamond(), "run1"))
+        planner = StepPlanner()
+        index_dags(planner, [compile_graph(diamond(), "run1")])
         with pytest.raises(DagValidationError, match="without being released"):
-            planner.mark_done("run1:a")
+            planner.mark_done("run1:d")
 
-    def test_mark_released_unknown_stage_rejected(self):
-        planner = StepPlanner(compile_graph(diamond(), "run1"))
-        with pytest.raises(DagValidationError, match="no stage"):
-            planner.mark_released("run1:ghost")
+    def test_unindexed_workload_completes_without_releases(self):
+        # Plain workloads complete through the same path and leave no
+        # entry behind, before or after.
+        planner = StepPlanner()
+        assert planner.add(synthetic_workload("plain", 1.0, 1), ())
+        assert len(planner) == 0
+        assert planner.mark_done("plain") == []
+        assert len(planner) == 0
+
+
+class ReferencePlanner:
+    """The list-scan ready rule the dependency index replaced.
+
+    One per DAG: after every completion, rescan every stage and return
+    the unreleased ones whose dependencies have all completed, in
+    stage order.  Kept only as the reference for the index.
+    """
+
+    def __init__(self, dag):
+        self.dag = dag
+        self.done = set()
+        self.released = set()
+
+    def ready(self):
+        return [
+            w
+            for w in self.dag.workloads
+            if w.workload_id not in self.released
+            and all(dep in self.done for dep in dependencies(w))
+        ]
+
+    def release(self, workloads):
+        self.released.update(w.workload_id for w in workloads)
+        return workloads
+
+    def mark_done(self, workload_id):
+        assert workload_id in self.released
+        self.done.add(workload_id)
+        return self.release(self.ready())
+
+
+def random_graph(rng, name):
+    """A random step DAG: each step may consume any earlier step."""
+    n = rng.randint(1, 14)
+    steps = []
+    for i in range(n):
+        deps = tuple(f"s{j}" for j in range(i) if rng.random() < 0.3)
+        steps.append(StepTask(f"s{i}", 1.0, deps=deps))
+    return StepGraph(name, steps)
+
+
+class TestReleaseOrderAgainstReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_index_releases_the_reference_batches(self, seed):
+        rng = random.Random(seed)
+        dags = [
+            compile_graph(random_graph(rng, f"g{k}"), f"d{k}")
+            for k in range(rng.randint(1, 4))
+        ]
+        refs = {dag.dag_id: ReferencePlanner(dag) for dag in dags}
+        planner = StepPlanner()
+        running = index_dags(planner, dags)
+        expected = [w for dag in dags for w in refs[dag.dag_id].release(
+            refs[dag.dag_id].ready()
+        )]
+        assert running == expected
+        while running:
+            # One tick: a random number of running stages complete, and
+            # everything they release forms one coalesced batch.
+            rng.shuffle(running)
+            n_done = rng.randint(1, len(running))
+            completed, running = running[:n_done], running[n_done:]
+            batch, reference = [], []
+            for workload in completed:
+                batch += planner.mark_done(workload.workload_id)
+                reference += refs[workload.dag_id].mark_done(workload.workload_id)
+            assert [w.workload_id for w in batch] == [w.workload_id for w in reference]
+            running += batch
+        assert len(planner) == 0
+        assert all(ref.done == set(ref.dag.stage_ids()) for ref in refs.values())
 
 
 class TestStepInputEgress:
