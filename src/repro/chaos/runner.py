@@ -201,12 +201,12 @@ def _execute(
         from repro.core.tenancy import MultiTenantController
 
         specs, submissions = tenant_fleet(tenants)
-        controller = MultiTenantController(provider, policy, config, monitor=monitor)
+        build = MultiTenantController
         fleet = [workload for _, workload in submissions]
     else:
-        specs, submissions = [], []
-        controller = FleetController(provider, policy, config, monitor=monitor)
+        build = FleetController
         fleet = list(workloads) if workloads is not None else default_fleet()
+    controller = build(provider, policy, config, monitor=monitor)
     invariant_monitor = OnlineInvariantMonitor(
         fleet,
         on_violation=recorder.on_invariant_violation if recorder is not None else None,
@@ -221,44 +221,27 @@ def _execute(
     # faults); everything else is the chaos controller's business.
     chaos = ChaosController(provider, campaign.without_kills())
     chaos.install()
-    kills = campaign.kills if apply_kills else ()
     if tenants is not None:
-        from repro.core.tenancy import MultiTenantController
-
         for spec in specs:
             controller.register_tenant(spec)
         for tenant_id, workload in submissions:
             controller.submit(tenant_id, workload)
-        engine = provider.engine
-        for offset in kills:
-            target = chaos.started_at + offset
-            if target > engine.now:
-                engine.run_until(target)
-            store = controller.state_store
-            controller.teardown()
-            del controller
-            controller = MultiTenantController(
-                provider, policy, config, monitor=monitor, state_store=store
-            )
-            controller.restore(fleet)
-        result = controller.wait(max_hours=max_hours)
-    elif not kills:
-        result = controller.run(fleet, max_hours=max_hours)
+        # The tenant front door waits for everything it admitted.
+        waited = None
     else:
         controller.submit(fleet)
-        engine = provider.engine
-        for offset in kills:
-            target = chaos.started_at + offset
-            if target > engine.now:
-                engine.run_until(target)
-            store = controller.state_store
-            controller.teardown()
-            del controller
-            controller = FleetController(
-                provider, policy, config, monitor=monitor, state_store=store
-            )
-            controller.restore(fleet)
-        result = controller.wait(fleet, max_hours=max_hours)
+        waited = fleet
+    engine = provider.engine
+    for offset in campaign.kills if apply_kills else ():
+        target = chaos.started_at + offset
+        if target > engine.now:
+            engine.run_until(target)
+        store = controller.state_store
+        controller.teardown()
+        del controller
+        controller = build(provider, policy, config, monitor=monitor, state_store=store)
+        controller.restore(fleet)
+    result = controller.wait(waited, max_hours=max_hours)
     chaos.deactivate()
     invariant_monitor.detach()
     if plane is not None:
@@ -330,7 +313,8 @@ def run_campaign(
     extra: List[InvariantResult] = []
     if verify_resume_equivalence and campaign.kills:
         baseline_provider, _, baseline, _, _ = _execute(
-            policy, campaign, seed, max_hours, warmup_steps, workloads, apply_kills=False
+            policy, campaign, seed, max_hours, warmup_steps, workloads,
+            apply_kills=False, tenants=tenants,
         )
         baseline_provider.shutdown()
         extra.append(_compare_results(result, baseline))

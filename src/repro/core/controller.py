@@ -201,14 +201,22 @@ class FleetController:
     ) -> FleetResult:
         """Drive the engine until *workloads* finish (or the deadline).
 
-        The result carries one record per *registered* workload; on a
-        deadline hit, stages whose dependencies never completed were
-        never released and do not appear.
+        Work still queued for tenant admission keeps the engine going
+        too.  The result carries one record per *registered* workload;
+        on a deadline hit, stages whose dependencies never completed
+        (or that never cleared admission) were never released and do
+        not appear.
         """
         deadline = self._engine.now + max_hours * HOUR
-        while not self._lifecycle.all_done(workloads) and self._engine.now < deadline:
+        lifecycle = self._lifecycle
+        # ``done`` counts every completion: an O(1) test before the O(N) scan.
+        while (
+            self._dag.queued()
+            or lifecycle.done < len(workloads)
+            or not lifecycle.all_done(workloads)
+        ) and self._engine.now < deadline:
             self._engine.run_until(min(self._engine.now + poll_interval, deadline))
-        return self._lifecycle.build_result(workloads)
+        return lifecycle.build_result(workloads)
 
     # ------------------------------------------------------------------
     # Teardown / restore (crash recovery over the durable store)
@@ -216,7 +224,7 @@ class FleetController:
     def teardown(self) -> None:
         """Discard this controller's in-process state, mid-run.
 
-        Pending boot/segment timers and any queued stage release are
+        Pending boot/segment timers and any queued release round are
         cancelled (they lived in the dead process) and the router
         endpoints detach.  The cloud-side wiring and every byte of
         fleet state stay put — build a new controller over
@@ -230,7 +238,7 @@ class FleetController:
         self.state_store.router.unbind()
 
     def restore(self, workloads: Sequence[Workload]) -> None:
-        """Rebuild executions and DAG progress from the state store.
+        """Rebuild executions, DAG progress and admission from the store.
 
         Args:
             workloads: Definitions of every submitted workload — plain

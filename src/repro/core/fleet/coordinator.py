@@ -29,6 +29,13 @@ Progress needs no store of its own: a stage is done when its workload
 row is done, so :meth:`restore` rebuilds the index from the rows the
 lifecycle service already loads and re-queues every stage whose
 dependencies completed while no controller was bound.
+
+Tenancy is a gate on this path (:meth:`DagCoordinator.gate`): a ready
+workload enters its tenant's admission queue instead, and the round —
+``admit_interval`` later, labelled ``tenancy:admit`` — releases what
+the fair-share drain admits.  Quota is charged at release, so a stage
+waiting on its producers holds none.  The queue and the round's due
+time are durable meta rows that :meth:`restore` reads back.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.fleet.lifecycle import LifecycleService
     from repro.core.fleet.state import FleetStateStore
     from repro.core.policy import PlacementPolicy, PolicyContext
+    from repro.core.tenancy import AdmissionController
     from repro.sim.events import Event
     from repro.workloads.base import Workload
 
@@ -62,6 +70,14 @@ class DagCoordinator:
         capacity: Spot/on-demand acquisition service.
         ctx: Policy context shared with the controller.
     """
+
+    #: Meta-table section of the durable admission queue: one row per
+    #: queued workload, keyed by a zero-padded enqueue sequence so key
+    #: order is queue order.
+    QUEUE_SECTION = "tenancy-queue"
+    #: Meta-table section holding the pending round's due time
+    #: (``None`` when no round is pending), so a restore re-arms it.
+    ROUND_SECTION = "tenancy-round"
 
     def __init__(
         self,
@@ -83,12 +99,34 @@ class DagCoordinator:
         # In-flight DAGs only: dag id -> [stages left, stages].
         self._dags: Dict[str, List[int]] = {}
         self._pending_release: List["Workload"] = []
-        self._release_event: Optional["Event"] = None
+        self._round: Optional["Event"] = None
+        # Set (with the queue state) only by :meth:`gate`.
+        self._admission: Optional["AdmissionController"] = None
         lifecycle.add_completion_listener(self._on_complete)
         # Decision provenance: any Algorithm-1 round that places a
         # stage workload — initial batches here, migrations deep in
         # the interruption path — gets its step fields annotated.
         self._telemetry.decisions.set_step_resolver(self._step_label)
+        self._telemetry.decisions.set_tenant_resolver(None)
+
+    def gate(self, admission: "AdmissionController", admit_interval: float) -> None:
+        """Put tenant *admission* in front of the release round.
+
+        Rounds then run *admit_interval* sim seconds after work is
+        first queued, and decisions carry the store's tenant of each
+        workload.
+        """
+        self._admission = admission
+        self._admit_interval = max(0.0, float(admit_interval))
+        self._queue_rows = self._store.mapping(self.QUEUE_SECTION)
+        self._queue_keys: Dict[str, str] = {}
+        self._queue_seq = 0
+        self._round_due = self._store.mapping(self.ROUND_SECTION)
+        # Whether submissions queued since the last round ran.
+        self._submitted = False
+        #: Admitted workloads, in admission order (restored ones first).
+        self.admitted: List["Workload"] = []
+        self._telemetry.decisions.set_tenant_resolver(self._store.tenant_of)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -107,46 +145,80 @@ class DagCoordinator:
         """The controller's dependency index."""
         return self._planner
 
+    def queued(self) -> int:
+        """Workloads waiting for tenant admission (0 without a gate)."""
+        return 0 if self._admission is None else self._admission.queued_count()
+
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit(self, workloads: Sequence["Workload"]) -> None:
+    def submit(self, workloads: Sequence["Workload"], tenant_id: Optional[str] = None) -> bool:
         """Validate *workloads*, release the ready ones, index the rest.
+
+        On a gated coordinator the batch is *tenant_id*'s and its ready
+        workloads enter that tenant's admission queue, all or none.
+
+        Returns:
+            ``False`` when the tenant's bounded pending queue cannot
+            take the batch (one ``tenant.throttled`` per workload).
 
         Raises:
             ExperimentError: On an empty batch, duplicate ids, ids
-                already registered or waiting on this control plane, a
-                dependency that does not precede its dependent in the
-                batch, or a DAG id still in flight.  Nothing changes
-                when the batch is rejected.
+                already registered, waiting or queued on this control
+                plane, a dependency that does not precede its
+                dependent in the batch, a DAG id still in flight, or
+                an unknown tenant.  Nothing changes when the batch is
+                rejected or throttled.
         """
-        dags = self._validate(workloads)
+        dags = self._validate(workloads, tenant_id)
+        ready = [workload for workload in workloads if not dependencies(workload)]
+        admission = self._admission
+        if admission is not None and not admission.enqueue(tenant_id, *ready):
+            limit = admission.registry.get(tenant_id).max_pending
+            for workload in ready:
+                self._telemetry.bus.emit(
+                    EventType.TENANT_THROTTLED,
+                    workload_id=workload.workload_id,
+                    tenant_id=tenant_id,
+                    queued=admission.queued_count(tenant_id),
+                    limit=limit,
+                )
+            return False
         for dag_id, (stages, steps) in dags.items():
             self._dags[dag_id] = [stages, stages]
             self._telemetry.bus.emit(
                 EventType.DAG_SUBMITTED, dag_id=dag_id, stages=stages, steps=steps
             )
-        planner = self._planner
-        ready = [
-            workload
-            for workload in workloads
-            if planner.add(workload, dependencies(workload))
-        ]
-        self._release(ready)
+        for workload in workloads:
+            self._planner.add(workload, dependencies(workload))
+        if admission is None:
+            self._release(ready)
+            return True
+        for workload in workloads:
+            self._store.assign_tenant(workload.workload_id, tenant_id)
+        for workload in ready:
+            self._queue_row(tenant_id, workload)
+        self._submitted = True
+        self._queue_round()
+        return True
 
-    def _validate(self, workloads: Sequence["Workload"]) -> Dict[str, Tuple[int, int]]:
+    def _validate(
+        self, workloads: Sequence["Workload"], tenant_id: Optional[str]
+    ) -> Dict[str, Tuple[int, int]]:
         """Check the whole batch; returns its DAGs' ``(stages, steps)``."""
         if not workloads:
             raise ExperimentError("fleet must contain at least one workload")
         ids = [workload.workload_id for workload in workloads]
         if len(set(ids)) != len(ids):
             raise ExperimentError(f"duplicate workload ids in fleet: {ids!r}")
+        queue_keys = self._queue_keys if self._admission is not None else {}
         already_known = [
             wid
             for wid in ids
             if self._lifecycle.find(wid) is not None
             or self._planner.waiting(wid)
-            or self._store.has_workload(wid)
+            or wid in queue_keys
+            or self._store.has_workload(wid, tenant_id)
         ]
         if already_known:
             raise ExperimentError(
@@ -222,26 +294,97 @@ class DagCoordinator:
         return sources
 
     def _queue_release(self, workloads: List["Workload"]) -> None:
-        """Coalesce releases into one zero-delay batched decision.
+        """Hand *workloads*, ready now, to the next release round.
 
         Completions landing at the same sim time each fire their own
-        engine event; queuing into a single zero-delay follow-up means
-        every step they made ready is scored by *one* Algorithm-1
-        round for the whole tick, not one round per completion.
+        engine event; queuing into a single follow-up round means every
+        step they made ready is scored by *one* Algorithm-1 round for
+        the whole tick.  Behind a gate they join their tenants' queues
+        past the pending bound (they were accepted at submission).
         """
-        if not workloads:
-            return
-        self._pending_release.extend(workloads)
-        if self._release_event is None:
-            self._release_event = self._engine.call_in(
-                0.0, self._flush_releases, label="dag:release"
-            )
+        admission = self._admission
+        if admission is None:
+            if not workloads:
+                return
+            self._pending_release.extend(workloads)
+        else:
+            for workload in workloads:
+                tenant_id = self._store.tenant_of(workload.workload_id)
+                admission.enqueue(tenant_id, workload, bounded=False)
+                self._queue_row(tenant_id, workload)
+            if not admission.queued_count():
+                return
+        self._queue_round()
 
-    def _flush_releases(self) -> None:
-        self._release_event = None
-        batch = self._pending_release
-        self._pending_release = []
+    def _queue_row(self, tenant_id: str, workload: "Workload") -> None:
+        key = f"{self._queue_seq:012d}"
+        self._queue_seq += 1
+        self._queue_rows[key] = {"tenant_id": tenant_id, "workload_id": workload.workload_id}
+        self._queue_keys[workload.workload_id] = key
+
+    def _queue_round(self, due: Optional[float] = None) -> None:
+        """Schedule the release round unless one is pending.
+
+        A gated round is due at *due* (default ``admit_interval`` from
+        now), recorded durably.
+        """
+        if self._round is not None:
+            return
+        if self._admission is None:
+            self._round = self._engine.call_in(0.0, self._fire_round, label="dag:release")
+            return
+        if due is None:
+            due = self._engine.now + self._admit_interval
+        self._round_due["due"] = due
+        self._round = self._engine.call_at(due, self._fire_round, label="tenancy:admit")
+
+    def _fire_round(self) -> None:
+        self._round = None
+        if self._admission is not None:
+            self._round_due["due"] = None
+        self._run_round()
+
+    def _run_round(self) -> None:
+        """Release everything ready now in one batched decision."""
+        if self._admission is None:
+            batch = self._pending_release
+            self._pending_release = []
+        else:
+            self._submitted = False
+            batch = self._admit()
         self._release(batch)
+
+    def place_submitted(self) -> None:
+        """Run a round now if submissions queued since the last one.
+
+        ``FleetController.run``'s ordering — submit, then place at
+        once — for a gated coordinator.  The pending round event stays;
+        a round queued by completions or re-armed by :meth:`restore`
+        keeps its due time.
+        """
+        if self._admission is not None and self._submitted:
+            self._run_round()
+
+    def _admit(self) -> List["Workload"]:
+        """Drain admission: the admitted workloads, their rows deleted."""
+        registry = self._admission.registry
+        batch: List["Workload"] = []
+        for admission in self._admission.drain():
+            workload = admission.workload
+            spec = registry.get(admission.tenant_id)
+            del self._queue_rows[self._queue_keys.pop(workload.workload_id)]
+            self._telemetry.bus.emit(
+                EventType.TENANT_ADMITTED,
+                workload_id=workload.workload_id,
+                tenant_id=admission.tenant_id,
+                in_flight=self._admission.in_flight(admission.tenant_id),
+                quota=spec.max_in_flight,
+                policy=spec.policy,
+                passed_over=list(admission.passed_over),
+            )
+            batch.append(workload)
+        self.admitted.extend(batch)
+        return batch
 
     # ------------------------------------------------------------------
     # Completion listener
@@ -256,39 +399,63 @@ class DagCoordinator:
                 self._telemetry.bus.emit(
                     EventType.DAG_DONE, dag_id=workload.dag_id, stages=progress[1]
                 )
-        self._queue_release(self._planner.mark_done(workload.workload_id))
+        ready = self._planner.mark_done(workload.workload_id)
+        if self._admission is not None:
+            # Freed quota may unblock queued work: it rides the round.
+            self._admission.release(self._store.tenant_of(workload.workload_id))
+        self._queue_release(ready)
 
     # ------------------------------------------------------------------
     # Teardown / restore
     # ------------------------------------------------------------------
     def teardown(self) -> None:
-        """Drop a queued release: it dies with the controller process."""
-        if self._release_event is not None:
-            self._release_event.cancel()
-            self._release_event = None
+        """Drop a queued round: it dies with the controller process."""
+        if self._round is not None:
+            self._round.cancel()
+            self._round = None
         self._pending_release = []
 
     def restore(self, workloads: Sequence["Workload"]) -> None:
-        """Rebuild executions and DAG progress from the workload rows.
+        """Rebuild executions, DAG progress and admission from the store.
 
         Args:
             workloads: Definitions of every submitted workload, plain
                 or stage — state is durable, definitions are code the
                 client re-supplies.  Stages that were never released
-                have no row; they go back into the dependency index.
+                have no row; they go back into the dependency index,
+                or, once ready, into the next release round.  Behind a
+                gate the tenant map, quota usage, the queue (in queue
+                order) and the pending round are rebuilt too.
 
         Raises:
-            ExperimentError: When a stored workload has no definition,
-                a workload without dependencies has no stored row (it
-                was never submitted), or the control plane is not
-                freshly built.
+            ExperimentError: When a stored or queued workload has no
+                definition, a workload without dependencies has no
+                stored or queued row (it was never submitted), or the
+                control plane is not freshly built.
         """
+        admission = self._admission
+        if admission is not None:
+            self._store.reload_tenants()
         self._lifecycle.restore(workloads)
+        # Queued workload id -> (row key, tenant, definition), in queue order.
+        queued: Dict[str, Tuple[str, str, "Workload"]] = {}
+        if admission is not None:
+            definitions = {workload.workload_id: workload for workload in workloads}
+            for key, row in self._queue_rows.items():
+                workload = definitions.get(row["workload_id"])
+                if workload is None:
+                    raise ExperimentError(
+                        f"no workload definition supplied for queued workload "
+                        f"{row['workload_id']!r}"
+                    )
+                queued[workload.workload_id] = (key, row["tenant_id"], workload)
         find = self._lifecycle.find
         never_submitted = [
             workload.workload_id
             for workload in workloads
-            if not dependencies(workload) and find(workload.workload_id) is None
+            if not dependencies(workload)
+            and find(workload.workload_id) is None
+            and workload.workload_id not in queued
         ]
         if never_submitted:
             raise ExperimentError(
@@ -306,7 +473,7 @@ class DagCoordinator:
                 progress[1] += 1
                 if not done(workload.workload_id):
                     progress[0] += 1
-            if find(workload.workload_id) is not None:
+            if find(workload.workload_id) is not None or workload.workload_id in queued:
                 continue
             # Wait only on producers that have not completed: a running
             # producer releases this stage when it completes, and one
@@ -316,6 +483,28 @@ class DagCoordinator:
                 ready.append(workload)
         for dag_id in [dag_id for dag_id, (left, _) in self._dags.items() if not left]:
             del self._dags[dag_id]
+        if admission is not None:
+            self._restore_admission(queued)
+            due = self._round_due.get("due")
+            if due is not None:
+                self._queue_round(max(due, self._engine.now))
         # Releases that were pending when the old controller died (its
-        # zero-delay event died with it) are re-queued here.
+        # round died with it) are re-queued here.
         self._queue_release(ready)
+
+    def _restore_admission(self, queued: Dict[str, Tuple[str, str, "Workload"]]) -> None:
+        """Recount quota usage from the restored rows and rebuild the queue."""
+        admission = self._admission
+        for execution in self._lifecycle.executions():
+            workload = execution.workload
+            tenant_id = self._store.tenant_of(workload.workload_id)
+            admission.admitted_counts[tenant_id] = admission.admitted_counts.get(tenant_id, 0) + 1
+            if execution.state is ExecutionState.DONE:
+                admission.done_counts[tenant_id] = admission.done_counts.get(tenant_id, 0) + 1
+            else:
+                admission.note_in_flight(tenant_id)
+            self.admitted.append(workload)
+        for key, tenant_id, workload in queued.values():
+            admission.enqueue(tenant_id, workload, bounded=False)
+            self._queue_keys[workload.workload_id] = key
+            self._queue_seq = int(key) + 1

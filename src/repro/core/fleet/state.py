@@ -46,6 +46,9 @@ STORE_RETRY_POLICY = RetryPolicy(max_attempts=5, interval=0.0, backoff_rate=1.0)
 #: otherwise — single-tenant runs never mention tenants at all.
 DEFAULT_TENANT = "default"
 
+#: Meta-table section persisting the workload -> tenant map.
+TENANT_MAP_SECTION = "tenancy-tenant-of"
+
 
 def shard_index(tenant_id: str, workload_id: str, n_shards: int) -> int:
     """Stable shard of one workload: ``hash(tenant_id, workload_id) % n``.
@@ -144,7 +147,7 @@ class FleetStateStore:
             unsharded store (same table names, same flush batches, same
             scan orders).  With more shards, items partition by
             :func:`shard_index` over ``(tenant_id, workload_id)`` —
-            the tenancy layer assigns tenants via
+            a tenant's submissions are assigned via
             :meth:`assign_tenant` before registration, everything else
             defaults to :data:`DEFAULT_TENANT` — so per-shard scans,
             flush batches, and :meth:`state_counts` stay O(shard)
@@ -214,15 +217,16 @@ class FleetStateStore:
             table: (rank, f"fleet-state:flush:{label}")
             for rank, (table, label) in enumerate(self._flush_tables)
         }
-        # Shard routing state.  Both maps are in-process conveniences
-        # over durable data: tenants are re-assigned on resume (the
-        # tenancy layer persists its map in the meta table) and items
-        # whose routing is unknown here — an unassigned workload id, an
+        # Shard routing state.  The workload -> tenant map is the one
+        # copy of it: persisted in a meta section as it is assigned and
+        # reloaded by :meth:`reload_tenants` on restore.  Items whose
+        # routing is unknown here — an unassigned workload id, an
         # instance/request bound by an earlier process — fall back to
         # an all-shard probe, so a rebuilt controller over the same
         # store object — the crash-recovery contract — never loses an
         # item.  ``_workload_shard`` memoises :meth:`shard_of`.
         self._tenant_of: Dict[str, str] = {}
+        self._tenant_rows = self.mapping(TENANT_MAP_SECTION)
         self._workload_shard: Dict[str, int] = {}
         self._entity_shard: Dict[str, int] = {}
         dynamodb.provider.engine.add_tick_hook(self.flush)
@@ -232,12 +236,19 @@ class FleetStateStore:
     # Shard routing
     # ------------------------------------------------------------------
     def assign_tenant(self, workload_id: str, tenant_id: str) -> None:
-        """Pin *workload_id*'s shard to *tenant_id* (before registration)."""
+        """Pin *workload_id* to *tenant_id* (before registration), durably."""
         self._tenant_of[workload_id] = tenant_id
         self._workload_shard.pop(workload_id, None)
+        self._tenant_rows[workload_id] = tenant_id
+
+    def reload_tenants(self) -> None:
+        """Reload the workload -> tenant map from the meta table (restore)."""
+        for workload_id, tenant_id in self._tenant_rows.items():
+            self._tenant_of[workload_id] = tenant_id
+            self._workload_shard.pop(workload_id, None)
 
     def tenant_of(self, workload_id: str) -> str:
-        """Tenant a workload was admitted for (:data:`DEFAULT_TENANT` if none)."""
+        """Tenant a workload was submitted for (:data:`DEFAULT_TENANT` if none)."""
         return self._tenant_of.get(workload_id, DEFAULT_TENANT)
 
     def shard_of(self, workload_id: str) -> int:
@@ -411,19 +422,27 @@ class FleetStateStore:
             scope="fleet-state:save-execution",
         )
 
-    def workload_item(self, workload_id: str) -> Optional[Dict[str, Any]]:
+    def workload_item(
+        self, workload_id: str, tenant_id: Optional[str] = None
+    ) -> Optional[Dict[str, Any]]:
         """The stored state of one workload, or ``None``.
 
         A workload whose tenant is assigned (or any workload of a
         1-shard store) lives on exactly one shard, so that is the only
-        read.  An unassigned id on a sharded store — restore over a
-        store whose tenant map was not reloaded — may have been written
-        under another tenant, so a miss on its routed shard probes the
-        rest.
+        read.  An unassigned id routed for *tenant_id* — a submission
+        checked before its assignment — reads the one shard it would
+        be written to.  Any other unassigned id on a sharded store —
+        restore over a store whose tenant map was not reloaded — may
+        have been written under another tenant, so a miss on its
+        routed shard probes the rest.
         """
-        routed = self.shard_of(workload_id)
+        assigned = workload_id in self._tenant_of
+        if assigned or tenant_id is None:
+            routed = self.shard_of(workload_id)
+        else:
+            routed = shard_index(tenant_id, workload_id, self.n_shards)
         order = [routed]
-        if workload_id not in self._tenant_of:
+        if not assigned and tenant_id is None:
             order += [i for i in range(self.n_shards) if i != routed]
         key = (workload_id, None)
         for index in order:
@@ -459,9 +478,9 @@ class FleetStateStore:
         """Stored workload ids, in registration order."""
         return [item["workload_id"] for item in self.workload_items()]
 
-    def has_workload(self, workload_id: str) -> bool:
-        """Whether *workload_id* is registered."""
-        return self.workload_item(workload_id) is not None
+    def has_workload(self, workload_id: str, tenant_id: Optional[str] = None) -> bool:
+        """Whether *workload_id* is registered (see :meth:`workload_item`)."""
+        return self.workload_item(workload_id, tenant_id) is not None
 
     def done_count(self) -> int:
         """How many stored workloads have finished."""
@@ -593,17 +612,6 @@ class FleetStateStore:
             (item["tenant_id"], None),
             item,
             scope="fleet-state:save-tenant",
-        )
-
-    def tenant_item(self, tenant_id: str) -> Optional[Dict[str, Any]]:
-        """The stored spec of one tenant, or ``None``."""
-        pending = self._pending[self.tenants_table]
-        key = (tenant_id, None)
-        if key in pending:
-            staged = pending[key]
-            return dict(staged) if staged is not None else None
-        return self._read(
-            "fleet-state:tenant-item", self._dynamodb.get_item, self.tenants_table, tenant_id
         )
 
     def tenant_items(self) -> List[Dict[str, Any]]:

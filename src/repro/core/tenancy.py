@@ -19,15 +19,13 @@ control plane into that service without touching Algorithm 1 itself:
   (released on workload completion); a full pending queue rejects the
   submission outright with ``tenant.throttled`` telemetry
   (backpressure, not silent loss);
-* :class:`MultiTenantController` — the façade over
-  :class:`~repro.core.controller.FleetController`.  Submissions queue;
-  a coalesced zero-delay engine event (the DAG coordinator's batching
-  machinery from ``_queue_release``) drains admission once per tick
-  and places the whole admitted batch through **one**
-  ``initial_placements`` call — one region-scoring pass per round, one
-  :class:`~repro.obs.provenance.DecisionRecord` carrying
-  ``batch_size`` / ``tenant_id``, regardless of how many tenants'
-  workloads rode the batch.
+* :class:`MultiTenantController` — the tenant front door of
+  :class:`~repro.core.controller.FleetController`.  Admission gates
+  the DAG coordinator's one coalesced release round, which places the
+  whole admitted batch through **one** ``initial_placements`` call —
+  one :class:`~repro.obs.provenance.DecisionRecord` carrying
+  ``batch_size`` / ``tenant_id`` per round, however many tenants'
+  workloads rode it.
 
 Determinism contract: with one default tenant and ``n_shards=1`` a
 run through this façade is bit-identical to driving
@@ -49,12 +47,11 @@ from repro.core.policy import PlacementPolicy
 from repro.core.result import FleetResult
 from repro.errors import ExperimentError
 from repro.obs.events import EventType
-from repro.sim.clock import HOUR, MINUTE
+from repro.sim.clock import MINUTE
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.cloud.provider import CloudProvider
-    from repro.core.execution import WorkloadExecution
     from repro.core.monitor import Monitor
 
 #: Fair-share weight floor: a zero- (or negative-) weight tenant is
@@ -127,13 +124,18 @@ class TenantSpec:
 
 
 class TenantRegistry:
-    """The durable tenant roster, backed by the store's tenants table."""
+    """The durable tenant roster, backed by the store's tenants table.
+
+    Built over a store that already holds a roster (a controller
+    rebuilt after a teardown), it starts with that roster loaded.
+    """
 
     def __init__(self, store: FleetStateStore) -> None:
         self._store = store
         self._specs: Dict[str, TenantSpec] = {}
         self._order: List[str] = []
         self._watchers: List[Callable[[str], None]] = []
+        self.reload()
 
     def watch(self, watcher: Callable[[str], None]) -> None:
         """Call *watcher* with a tenant id whenever its spec changes."""
@@ -159,7 +161,7 @@ class TenantRegistry:
         return spec
 
     def reload(self) -> None:
-        """Rebuild the roster from the tenants table (controller resume)."""
+        """Rebuild the roster from the tenants table."""
         self._specs = {}
         self._order = []
         for item in self._store.tenant_items():
@@ -191,9 +193,6 @@ class TenantRegistry:
         """Every spec, in registration order."""
         return [self._specs[tenant_id] for tenant_id in self._order]
 
-    def __len__(self) -> int:
-        return len(self._order)
-
 
 @dataclass(frozen=True)
 class Admission:
@@ -215,8 +214,8 @@ class Admission:
 class AdmissionController:
     """Weighted fair-share admission over per-tenant queues.
 
-    Pure deterministic bookkeeping: no RNG, no wall-clock.  The
-    controller façade owns durability (queue snapshots live in the
+    Pure deterministic bookkeeping: no RNG, no wall-clock.  The DAG
+    coordinator it gates owns durability (queue rows live in the
     store's meta table) and telemetry; this class decides *who goes
     next*.
 
@@ -254,16 +253,23 @@ class AdmissionController:
             self._spec_changed(spec.tenant_id)
 
     # -- submission ----------------------------------------------------
-    def enqueue(self, tenant_id: str, workload: Workload) -> bool:
-        """Queue one submission; ``False`` means throttled (queue full)."""
+    def enqueue(self, tenant_id: str, *workloads: Workload, bounded: bool = True) -> bool:
+        """Queue *workloads* for *tenant_id*, all or none.
+
+        ``False`` means throttled: the batch would overflow the
+        tenant's bounded pending queue.  ``bounded=False`` skips the
+        bound, for work accepted earlier — a DAG stage whose producers
+        completed, or a queued submission being restored.
+        """
         spec = self._spec.get(tenant_id) or self.registry.get(tenant_id)
         queue = self._queues.setdefault(tenant_id, deque())
-        if spec.max_pending and len(queue) >= spec.max_pending:
+        if bounded and spec.max_pending and len(queue) + len(workloads) > spec.max_pending:
             self.throttled_counts[tenant_id] = (
-                self.throttled_counts.get(tenant_id, 0) + 1
+                self.throttled_counts.get(tenant_id, 0) + len(workloads)
             )
             return False
-        if not queue:
+        idle = not queue
+        if idle:
             # A tenant going from idle to backlogged re-joins at the
             # current global virtual time — it competes fairly from
             # *now* instead of burning a credit backlog accrued while
@@ -271,9 +277,9 @@ class AdmissionController:
             self._virtual[tenant_id] = max(
                 self._virtual.get(tenant_id, 0.0), self._global_virtual
             )
-        queue.append(workload)
-        self._queued_total += 1
-        if len(queue) == 1:
+        queue.extend(workloads)
+        self._queued_total += len(workloads)
+        if idle:
             self._refile(tenant_id)
         return True
 
@@ -343,21 +349,16 @@ class AdmissionController:
             return len(self._queues.get(tenant_id, ()))
         return self._queued_total
 
-    def queued(self) -> List[Tuple[str, Workload]]:
-        """Every queued ``(tenant, workload)``, tenant-sorted FIFO."""
-        return [
-            (tenant_id, workload)
-            for tenant_id in sorted(self._queues)
-            for workload in self._queues[tenant_id]
-        ]
-
     def in_flight(self, tenant_id: str) -> int:
         """Currently admitted, not-yet-done workloads of *tenant_id*."""
         return self._in_flight.get(tenant_id, 0)
 
 
-class MultiTenantController:
-    """Fleet-of-fleets façade: per-tenant submission over one control plane.
+class MultiTenantController(FleetController):
+    """A :class:`FleetController` with tenant admission gating its release round.
+
+    Work comes in per tenant through :meth:`submit`; waiting,
+    teardown, restore and resume are the fleet controller's.
 
     Args:
         provider: The simulated cloud.
@@ -369,21 +370,13 @@ class MultiTenantController:
             fresh store with *n_shards* shards.  Pass a torn-down
             controller's store (plus :meth:`resume`) to recover.
         n_shards: Shard count for the default store.
-        admit_interval: Coalescing window (sim seconds) for admission
-            rounds triggered mid-run.  0.0 — the default — drains in a
-            zero-delay event within the same tick (maximally
-            responsive); fleet-scale deployments raise it so quota
-            freed by many completions rides one batched Algorithm-1
-            round instead of one round per completion tick.  The
-            synchronous drain at :meth:`wait` entry is unaffected.
+        admit_interval: Delay (sim seconds) of the release round once
+            work is queued for admission.  0.0 — the default — runs it
+            within the same tick; fleet-scale deployments raise it so
+            quota freed by many completions rides one batched
+            Algorithm-1 round.  The round :meth:`wait` runs at entry is
+            unaffected.
     """
-
-    #: Meta-table sections the tenancy layer persists its recovery
-    #: state in: the admission queue (one row per queued submission,
-    #: keyed by a zero-padded enqueue sequence so iteration order is
-    #: submission order) and the workload -> tenant assignment map.
-    QUEUE_SECTION = "tenancy-queue"
-    TENANT_MAP_SECTION = "tenancy-tenant-of"
 
     def __init__(
         self,
@@ -396,244 +389,58 @@ class MultiTenantController:
         n_shards: int = 1,
         admit_interval: float = 0.0,
     ) -> None:
-        self._provider = provider
-        self._engine = provider.engine
-        self._admit_interval = max(0.0, float(admit_interval))
-        store = (
-            state_store
-            if state_store is not None
-            else FleetStateStore(provider.dynamodb, n_shards=n_shards)
+        super().__init__(
+            provider, policy, config, monitor=monitor, image_id=image_id,
+            state_store=state_store, n_shards=n_shards,
         )
-        self._fleet = FleetController(
-            provider, policy, config, monitor=monitor,
-            image_id=image_id, state_store=store,
-        )
-        self.registry = TenantRegistry(store)
+        self.registry = TenantRegistry(self.state_store)
         self.admission = AdmissionController(self.registry)
-        self._bus = provider.telemetry.bus
-        self._queue_meta = store.mapping(self.QUEUE_SECTION)
-        self._map_meta = store.mapping(self.TENANT_MAP_SECTION)
-        self._tenant_of: Dict[str, str] = {}
-        self._queue_keys: Dict[str, str] = {}
-        self._queue_defs: Dict[str, Workload] = {}
-        self._queue_seq = 0
-        self._admitted: List[Workload] = []
-        self._drain_pending = False
-        provider.telemetry.decisions.set_tenant_resolver(self._tenant_of.get)
-        self._fleet.services["lifecycle"].add_completion_listener(self._on_complete)
+        self._dag.gate(self.admission, admit_interval)
 
-    # ------------------------------------------------------------------
-    # Tenant roster
-    # ------------------------------------------------------------------
     def register_tenant(self, spec: TenantSpec) -> TenantSpec:
         """Add *spec* to the durable roster (announced on the bus)."""
-        return self.registry.register(spec, bus=self._bus)
+        return self.registry.register(spec, bus=self._provider.telemetry.bus)
 
-    def _ensure_tenant(self, tenant_id: str) -> None:
+    def submit(self, tenant_id: str, *workloads: Workload) -> bool:
+        """Submit *workloads* (one workload, or a DAG's stages) for *tenant_id*.
+
+        Returns ``False`` when the tenant's bounded pending queue
+        rejected the batch (``tenant.throttled`` events are the
+        telemetry side of that backpressure); see
+        :meth:`~repro.core.fleet.coordinator.DagCoordinator.submit`.
+        """
         if tenant_id == DEFAULT_TENANT and not self.registry.has(tenant_id):
             # Single-tenant runs never register anything: the default
             # tenant materialises unlimited on first use.
             self.register_tenant(TenantSpec(tenant_id=DEFAULT_TENANT))
+        return self._dag.submit(workloads, tenant_id)
 
-    # ------------------------------------------------------------------
-    # Submission (queue -> coalesced per-tick admission round)
-    # ------------------------------------------------------------------
-    def submit(self, tenant_id: str, workload: Workload) -> bool:
-        """Queue one workload for *tenant_id*.
-
-        Returns ``True`` when queued (admission happens at the next
-        batched placement round) and ``False`` when the tenant's
-        bounded pending queue rejected it — the ``tenant.throttled``
-        event is the telemetry side of that backpressure.
-        """
-        self._ensure_tenant(tenant_id)
-        if not self.admission.enqueue(tenant_id, workload):
-            self._bus.emit(
-                EventType.TENANT_THROTTLED,
-                workload_id=workload.workload_id,
-                tenant_id=tenant_id,
-                queued=self.admission.queued_count(tenant_id),
-                limit=self.registry.get(tenant_id).max_pending,
-            )
-            return False
-        key = f"{self._queue_seq:012d}"
-        self._queue_seq += 1
-        self._queue_meta[key] = {
-            "tenant_id": tenant_id,
-            "workload_id": workload.workload_id,
-        }
-        self._queue_keys[workload.workload_id] = key
-        self._queue_defs[workload.workload_id] = workload
-        self._queue_drain()
-        return True
-
-    def _queue_drain(self) -> None:
-        """Coalesce admission into one round per ``admit_interval``."""
-        if self._drain_pending:
-            return
-        self._drain_pending = True
-        self._engine.call_in(self._admit_interval, self._drain_event, label="tenancy:admit")
-
-    def _drain_event(self) -> None:
-        self._drain_pending = False
-        self._admit_batch()
-
-    def _admit_batch(self) -> None:
-        """One placement round: drain admission, place the batch at once."""
-        admissions = self.admission.drain()
-        if not admissions:
-            return
-        batch: List[Workload] = []
-        for admission in admissions:
-            workload = admission.workload
-            workload_id = workload.workload_id
-            spec = self.registry.get(admission.tenant_id)
-            self._tenant_of[workload_id] = admission.tenant_id
-            self._fleet.state_store.assign_tenant(workload_id, admission.tenant_id)
-            self._map_meta[workload_id] = admission.tenant_id
-            key = self._queue_keys.pop(workload_id, None)
-            if key is not None:
-                del self._queue_meta[key]
-            self._queue_defs.pop(workload_id, None)
-            self._bus.emit(
-                EventType.TENANT_ADMITTED,
-                workload_id=workload_id,
-                tenant_id=admission.tenant_id,
-                in_flight=self.admission.in_flight(admission.tenant_id),
-                quota=spec.max_in_flight,
-                policy=spec.policy,
-                passed_over=list(admission.passed_over),
-            )
-            batch.append(workload)
-        self._admitted.extend(batch)
-        # One FleetController.submit == one register + ONE
-        # ``initial_placements`` over the whole batch + one acquire per
-        # placement: the batched-Algorithm-1 contract.  The decision
-        # log's tenant resolver annotates the resulting DecisionRecord
-        # with ``tenant_id`` / ``batch_size``.
-        self._fleet.submit(batch)
-
-    def _on_complete(self, execution: "WorkloadExecution") -> None:
-        workload_id = execution.workload.workload_id
-        tenant_id = self._tenant_of.get(workload_id)
-        if tenant_id is None:
-            return
-        self.admission.release(tenant_id)
-        if self.admission.queued_count():
-            # Freed quota may unblock queued submissions; they ride the
-            # next coalesced round in this same tick.
-            self._queue_drain()
-
-    # ------------------------------------------------------------------
-    # Run / wait
-    # ------------------------------------------------------------------
     def wait(
         self,
+        workloads: Optional[Sequence[Workload]] = None,
         max_hours: float = 120.0,
         poll_interval: float = 5 * MINUTE,
     ) -> FleetResult:
-        """Drive the engine until every submission finishes (or deadline).
+        """:meth:`FleetController.wait`, placing fresh submissions first.
 
-        The first admission round runs synchronously before the engine
-        is driven — the same call ordering as
+        Work submitted since the last round is admitted synchronously
+        before the engine is driven — the same call ordering as
         ``FleetController.run`` — which is what keeps single-tenant
-        runs bit-identical to the plain controller.
+        runs bit-identical to the plain controller.  Without
+        *workloads*, waits for everything submitted, with records in
+        admission order.
         """
-        self._admit_batch()
-        deadline = self._engine.now + max_hours * HOUR
-        lifecycle = self._fleet.services["lifecycle"]
-        while (
-            self.admission.queued_count()
-            or lifecycle.done < len(self._admitted)
-            or not lifecycle.all_done(self._admitted)
-        ) and self._engine.now < deadline:
-            self._engine.run_until(min(self._engine.now + poll_interval, deadline))
-        return lifecycle.build_result(self._admitted)
-
-    # ------------------------------------------------------------------
-    # Teardown / resume (crash recovery over the durable store)
-    # ------------------------------------------------------------------
-    def teardown(self) -> None:
-        """Discard in-process state; queues and roster stay durable."""
-        self._provider.telemetry.decisions.set_tenant_resolver(None)
-        self._fleet.teardown()
-
-    def restore(self, definitions: Sequence[Workload]) -> None:
-        """Rebuild roster, quotas, executions, and queues from the store.
-
-        Args:
-            definitions: Workload definitions covering every stored
-                *and* still-queued workload (state is durable;
-                definitions are code the client re-supplies — the same
-                contract as ``FleetController.restore``).
-        """
-        defs = {workload.workload_id: workload for workload in definitions}
-        self.registry.reload()
-        for workload_id in sorted(self._map_meta):
-            tenant_id = self._map_meta[workload_id]
-            self._tenant_of[workload_id] = tenant_id
-            self._fleet.state_store.assign_tenant(workload_id, tenant_id)
-        stored = self._fleet.state_store.workload_items()
-        missing = [item["workload_id"] for item in stored if item["workload_id"] not in defs]
-        if missing:
-            raise ExperimentError(
-                f"restore needs definitions for stored workloads: {sorted(missing)}"
-            )
-        self._fleet.restore([defs[item["workload_id"]] for item in stored])
-        for item in stored:
-            workload_id = item["workload_id"]
-            self._admitted.append(defs[workload_id])
-            tenant_id = self._tenant_of.get(workload_id, DEFAULT_TENANT)
-            if item["state"] == "done":
-                self.admission.done_counts[tenant_id] = (
-                    self.admission.done_counts.get(tenant_id, 0) + 1
-                )
-            else:
-                self.admission.note_in_flight(tenant_id)
-        # Re-queue submissions that never cleared admission, in their
-        # original enqueue order (the zero-padded meta keys sort by
-        # submission sequence).
-        for key in sorted(self._queue_meta):
-            row = self._queue_meta[key]
-            workload = defs.get(row["workload_id"])
-            if workload is None:
-                raise ExperimentError(
-                    f"restore needs a definition for queued workload "
-                    f"{row['workload_id']!r}"
-                )
-            self.admission.enqueue(row["tenant_id"], workload)
-            self._queue_keys[workload.workload_id] = key
-            self._queue_defs[workload.workload_id] = workload
-            self._queue_seq = max(self._queue_seq, int(key) + 1)
-        if self.admission.queued_count():
-            self._queue_drain()
-
-    def resume(
-        self,
-        definitions: Sequence[Workload],
-        max_hours: float = 120.0,
-        poll_interval: float = 5 * MINUTE,
-    ) -> FleetResult:
-        """Rebuild from the store and run the fleet to completion."""
-        self.restore(definitions)
-        return self.wait(max_hours=max_hours, poll_interval=poll_interval)
+        self._dag.place_submitted()
+        if workloads is None:
+            workloads = self._dag.admitted
+        return super().wait(workloads, max_hours=max_hours, poll_interval=poll_interval)
 
     # ------------------------------------------------------------------
     # Introspection (CLI roster / per-tenant scorecard, tests)
     # ------------------------------------------------------------------
-    @property
-    def state_store(self) -> FleetStateStore:
-        """The durable store the control plane composes over."""
-        return self._fleet.state_store
-
-    @property
-    def fleet(self) -> FleetController:
-        """The wrapped single-plane controller."""
-        return self._fleet
-
-    def tenant_of(self, workload_id: str) -> Optional[str]:
-        """Tenant a workload was admitted for (None when unknown)."""
-        return self._tenant_of.get(workload_id)
+    def tenant_of(self, workload_id: str) -> str:
+        """Tenant a workload was submitted for (the store's map)."""
+        return self.state_store.tenant_of(workload_id)
 
     def usage(self) -> Dict[str, Dict[str, Any]]:
         """Per-tenant scorecard rows, in registration order."""

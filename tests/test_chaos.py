@@ -25,6 +25,7 @@ from repro.chaos import (
     default_fleet,
     random_campaign,
     run_campaign,
+    tenant_storm_campaign,
 )
 from repro.cloud.provider import CloudProvider
 from repro.errors import ChaosError, CloudError
@@ -293,6 +294,23 @@ class TestControllerKill:
         )
         by_name = {inv["name"]: inv for inv in outcome.scorecard["invariants"]}
         assert by_name["resume-equivalence"]["passed"], by_name["resume-equivalence"]
+        assert outcome.all_passed
+
+    def test_tenant_storm_kill_recovers_bit_identically(self):
+        # The baseline runs through the same tenant front door; 5 h is
+        # after the storms' throttle window and before any completion.
+        base = tenant_storm_campaign()
+        killed = CampaignSpec(
+            name="tenant-storm+kill",
+            injections=tuple(base.injections)
+            + (Injection(kind="controller-kill", at=5 * HOUR),),
+        )
+        outcome = run_campaign(
+            policy="spotverse", campaign=killed, tenants=3, verify_resume_equivalence=True
+        )
+        by_name = {inv["name"]: inv for inv in outcome.scorecard["invariants"]}
+        assert by_name["resume-equivalence"]["passed"], by_name["resume-equivalence"]
+        assert by_name["tenant-quota"]["passed"]
         assert outcome.all_passed
 
     def test_double_kill_still_completes(self):

@@ -540,9 +540,11 @@ class TestShardRouting:
         fleet = [synthetic_workload("wl-x", 1.0, n_segments=1)]
         controller.submit("a", fleet[0])
         assert controller.wait(max_hours=24).all_complete
-        controller.submit("b", synthetic_workload("wl-x", 1.0, n_segments=1))
+        usage = controller.usage()
         with pytest.raises(ExperimentError, match="already used"):
-            controller.wait(max_hours=24)
+            controller.submit("b", synthetic_workload("wl-x", 1.0, n_segments=1))
+        assert controller.usage() == usage
+        assert controller.tenant_of("wl-x") == "a"
 
         # Also after a teardown and a resume over the same store.
         provider = CloudProvider(seed=4)
@@ -557,9 +559,11 @@ class TestShardRouting:
         controller.teardown()
         rebuilt = build(state_store=store)
         assert rebuilt.resume(fleet, max_hours=24).all_complete
-        rebuilt.submit("b", synthetic_workload("wl-x", 1.0, n_segments=1))
+        usage = rebuilt.usage()
         with pytest.raises(ExperimentError, match="already used"):
-            rebuilt.wait(max_hours=24)
+            rebuilt.submit("b", synthetic_workload("wl-x", 1.0, n_segments=1))
+        assert rebuilt.usage() == usage
+        assert rebuilt.tenant_of("wl-x") == "a"
 
     def test_throttle_window_still_retries_and_dead_letters(self, provider):
         store = FleetStateStore(provider.dynamodb, n_shards=4)

@@ -14,12 +14,16 @@ import json
 
 import pytest
 
-from repro.chaos.invariants import TenantFairnessCheck, TenantQuotaCheck
+from repro.chaos.invariants import DagDependenciesCheck, TenantFairnessCheck, TenantQuotaCheck
 from repro.cloud.provider import CloudProvider
 from repro.core.config import SpotVerseConfig
+from repro.core.controller import FleetController
+from repro.core.dag import StepGraph, StepTask, compile_graph
+from repro.core.fleet import DagCoordinator
 from repro.core.monitor import Monitor
 from repro.core.optimizer import SpotVerseOptimizer
 from repro.core.tenancy import (
+    DEFAULT_TENANT,
     AdmissionController,
     MultiTenantController,
     TenantRegistry,
@@ -272,7 +276,179 @@ def test_teardown_resume_with_non_empty_admission_queue():
     assert usage["done"] == 3 and usage["queued"] == 0 and usage["in_flight"] == 0
     assert rebuilt.tenant_of("wl-2") == "lab"
     # The durable queue fully drained.
-    assert list(store.mapping(MultiTenantController.QUEUE_SECTION)) == []
+    assert list(store.mapping(DagCoordinator.QUEUE_SECTION)) == []
+    provider.shutdown()
+
+
+def test_torn_down_round_never_fires_and_resume_is_exact():
+    """A round queued just before a teardown is re-armed, not replayed."""
+
+    def run(teardown_at=None):
+        provider = CloudProvider(seed=SEED)
+        provider.warmup_markets(24)
+        config, monitor, policy = _plane(provider)
+        controller = MultiTenantController(
+            provider, policy, config, monitor=monitor, admit_interval=300.0
+        )
+        controller.register_tenant(TenantSpec(tenant_id="lab", max_in_flight=1))
+        fleet = [synthetic_workload(f"wl-{i}", 0.5, n_segments=1) for i in range(3)]
+        start = provider.engine.now
+        for workload in fleet:
+            assert controller.submit("lab", workload)
+        if teardown_at is None:
+            result = controller.wait(max_hours=24.0)
+        else:
+            # Place the submitted batch as ``wait`` does, then die at
+            # *teardown_at*: after wl-0 completed and queued a round,
+            # before that round is due.
+            controller.services["dag"].place_submitted()
+            provider.engine.run_until(start + teardown_at)
+            done = provider.telemetry.bus.events(EventType.WORKLOAD_DONE)
+            assert [event.workload_id for event in done] == ["wl-0"]
+            assert done[0].time + 300.0 > provider.engine.now
+            store = controller.state_store
+            controller.teardown()
+            controller = MultiTenantController(
+                provider, policy, config, monitor=monitor, state_store=store,
+                admit_interval=300.0,
+            )
+            result = controller.resume(fleet, max_hours=24.0)
+        admitted = [
+            (event.workload_id, event.time - start)
+            for event in provider.telemetry.bus.events(EventType.TENANT_ADMITTED)
+        ]
+        provider.shutdown()
+        return result_to_dict(result), admitted
+
+    uninterrupted, admitted = run()
+    resumed, admitted_resumed = run(teardown_at=2100.0)
+    assert resumed == uninterrupted
+    assert admitted_resumed == admitted
+
+
+def _sample_dag():
+    steps = [StepTask("prep", 0.5 * HOUR, output_bytes=1 << 30)]
+    steps += [StepTask(f"s{i}", 2.0 * HOUR, deps=("prep",)) for i in range(4)]
+    steps.append(StepTask("merge", 0.5 * HOUR, deps=tuple(f"s{i}" for i in range(4))))
+    return compile_graph(StepGraph("samples", steps), "run1")
+
+
+def _quota_dag_run(teardown_after_hours=None):
+    provider = CloudProvider(seed=SEED)
+    provider.warmup_markets(24)
+    config, monitor, policy = _plane(provider)
+    controller = MultiTenantController(provider, policy, config, monitor=monitor)
+    controller.register_tenant(TenantSpec(tenant_id="lab", max_in_flight=2))
+    dag = _sample_dag()
+    assert controller.submit("lab", *dag.workloads)
+    if teardown_after_hours is None:
+        result = controller.wait(max_hours=48.0)
+    else:
+        controller.services["dag"].place_submitted()
+        provider.engine.run_until(provider.engine.now + teardown_after_hours * HOUR)
+        usage = controller.usage()["lab"]
+        assert (usage["done"], usage["in_flight"], usage["queued"]) == (1, 2, 2)
+        store = controller.state_store
+        controller.teardown()
+        controller = MultiTenantController(
+            provider, policy, config, monitor=monitor, state_store=store
+        )
+        result = controller.resume(dag.workloads, max_hours=48.0)
+    return provider, controller, dag, result
+
+
+def test_quota_dag_runs_every_stage_within_quota():
+    provider, controller, dag, result = _quota_dag_run()
+    assert sorted(record.workload_id for record in result.records) == sorted(
+        stage.workload_id for stage in dag.workloads
+    )
+    assert all(record.completed_at is not None for record in result.records)
+    quota, deps = TenantQuotaCheck(), DagDependenciesCheck()
+    for event in provider.telemetry.bus:
+        assert quota.observe(event) == []
+        assert deps.observe(event) == []
+    admitted = provider.telemetry.bus.events(EventType.TENANT_ADMITTED)
+    assert len(admitted) == len(dag.workloads)
+    assert max(event.attrs["in_flight"] for event in admitted) == 2
+    usage = controller.usage()["lab"]
+    assert usage["admitted"] == usage["done"] == 6 and usage["in_flight"] == 0
+    provider.shutdown()
+
+
+def test_tenancy_resume_keeps_unreleased_stages():
+    provider, _, _, baseline = _quota_dag_run()
+    provider.shutdown()
+    # At 1.5 h prep is done and two samples run under the quota of 2;
+    # two samples are queued and merge was never released.
+    provider, controller, dag, result = _quota_dag_run(teardown_after_hours=1.5)
+    usage = controller.usage()["lab"]
+    provider.shutdown()
+    assert len(result.records) == len(dag.workloads)
+    by_id = {record["workload_id"]: record for record in result_to_dict(result)["records"]}
+    for record in result_to_dict(baseline)["records"]:
+        assert by_id[record["workload_id"]] == record
+    assert result.total_cost == baseline.total_cost
+    assert usage["admitted"] == usage["done"] == 6
+
+
+def test_duplicate_submission_rejected_before_anything_changes():
+    provider = CloudProvider(seed=SEED)
+    provider.warmup_markets(24)
+    controller = _controller(provider)
+    controller.register_tenant(TenantSpec(tenant_id="a"))
+    assert controller.submit("a", synthetic_workload("wl-x", 1.0, n_segments=1))
+    store = controller.state_store
+    rows = list(store.mapping(DagCoordinator.QUEUE_SECTION).items())
+    usage, bus_len = controller.usage(), len(provider.telemetry.bus)
+    for duplicate in (
+        lambda: controller.submit("a", synthetic_workload("wl-x", 1.0, n_segments=1)),
+        lambda: controller.submit(
+            "a",
+            synthetic_workload("wl-y", 1.0, n_segments=1),
+            synthetic_workload("wl-y", 1.0, n_segments=1),
+        ),
+    ):
+        with pytest.raises(ExperimentError, match="already used|duplicate"):
+            duplicate()
+        assert controller.usage() == usage
+        assert list(store.mapping(DagCoordinator.QUEUE_SECTION).items()) == rows
+        assert len(provider.telemetry.bus) == bus_len
+    result = controller.wait(max_hours=24.0)
+    assert [record.workload_id for record in result.records] == ["wl-x"]
+    assert controller.usage()["a"]["admitted"] == 1
+    provider.shutdown()
+
+
+def test_throttled_batch_is_all_or_nothing():
+    provider = CloudProvider(seed=SEED)
+    provider.warmup_markets(24)
+    controller = _controller(provider)
+    controller.register_tenant(TenantSpec(tenant_id="lab", max_pending=2))
+    batch = [synthetic_workload(f"w-{i}", 1.0, n_segments=1) for i in range(3)]
+    assert not controller.submit("lab", *batch)
+    assert controller.usage()["lab"]["queued"] == 0
+    throttled = provider.telemetry.bus.events(EventType.TENANT_THROTTLED)
+    assert [event.workload_id for event in throttled] == ["w-0", "w-1", "w-2"]
+    # Nothing was taken, so the same ids can be submitted again.
+    assert controller.submit("lab", *batch[:2])
+    assert controller.usage()["lab"]["queued"] == 2
+    provider.shutdown()
+
+
+def test_plain_controller_allocates_no_admission_state():
+    provider = CloudProvider(seed=SEED)
+    provider.warmup_markets(24)
+    config, monitor, policy = _plane(provider)
+    controller = FleetController(provider, policy, config, monitor=monitor, n_shards=4)
+    fleet = [synthetic_workload(f"wl-{i}", 1.0, n_segments=1) for i in range(3)]
+    assert controller.run(fleet, max_hours=24.0).all_complete
+    coordinator = controller.services["dag"]
+    assert coordinator.queued() == 0
+    assert not hasattr(coordinator, "admitted")
+    store = controller.state_store
+    for section in (DagCoordinator.QUEUE_SECTION, DagCoordinator.ROUND_SECTION):
+        assert list(store.mapping(section)) == []
+    assert all(store.tenant_of(workload.workload_id) == DEFAULT_TENANT for workload in fleet)
     provider.shutdown()
 
 
