@@ -1,12 +1,12 @@
 """Benchmark: vectorized market lattice vs scalar market stepping.
 
 Steps every calibrated market (the full 12-region x 4-type book) for a
-few simulated weeks under both paths — ``vectorized_markets=False``
-(one Python loop iteration, three scalar normal draws, and a tuple
-append per market per hour) and the default
-:class:`~repro.cloud.lattice.MarketLattice` fast path — and asserts:
+few simulated weeks two ways — the scalar reference stepper in
+``tests/market_reference.py`` (one Python loop iteration, three scalar
+normal draws, and a tuple append per market per hour) and the
+provider's :class:`~repro.cloud.lattice.MarketLattice` — and asserts:
 
-* same-seed price traces are **bit-identical** between the paths, and
+* same-seed price and metric traces are **bit-identical**, and
 * the lattice is at least 3x faster at pure market stepping.
 
 The committed ``BENCH_test_market_lattice_stepping.json`` carries the
@@ -21,6 +21,7 @@ from conftest import run_once
 
 from repro.cloud.provider import CloudProvider
 from repro.sim.clock import HOUR
+from tests import market_reference
 
 #: Simulated market-stepping horizon.  Long enough that stepping (not
 #: provider construction) dominates the wall time on both paths.
@@ -31,8 +32,11 @@ MIN_SPEEDUP = 3.0
 
 
 def _run_markets(vectorized: bool) -> CloudProvider:
-    provider = CloudProvider(seed=11, vectorized_markets=vectorized)
-    provider.engine.run_until(HOURS * HOUR)
+    provider = CloudProvider(seed=11)
+    if vectorized:
+        provider.engine.run_until(HOURS * HOUR)
+    else:
+        market_reference.run_markets(provider._markets.values(), HOURS)
     provider.shutdown()
     return provider
 

@@ -521,6 +521,7 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs.profiler import HotPathProfile
+    from repro.sim.trace import EngineTracer
 
     if args.from_profile:
         try:
@@ -540,7 +541,7 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
         return 0
 
     provider = CloudProvider(seed=args.seed)
-    provider.engine.trace = True
+    provider.engine.tracer = EngineTracer()
     result = _run_obs_fleet(args, provider)
     profile = HotPathProfile.from_tracer(provider.engine.tracer)
     print(result.summary())
@@ -747,6 +748,7 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
 
 def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs import HotPathProfile, RunReport, Telemetry, write_jsonl
+    from repro.sim.trace import EngineTracer
 
     obs_command = getattr(args, "obs_command", None)
     if obs_command == "explain":
@@ -773,7 +775,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     telemetry = Telemetry()
     provider = CloudProvider(seed=args.seed, telemetry=telemetry, observatory=True)
     if args.profile:
-        provider.engine.trace = True
+        provider.engine.tracer = EngineTracer()
     result = _run_obs_fleet(args, provider)
 
     print(result.summary())

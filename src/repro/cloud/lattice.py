@@ -1,23 +1,25 @@
-"""The market lattice: vectorized stepping for every spot market at once.
+"""The market lattice: the one stepper for every spot market.
 
-Scalar market stepping (:meth:`~repro.cloud.market.SpotMarket.step`)
-spends most of its time in Python: three ``rng.standard_normal()``
-calls, property lookups, and a tuple append — per market, per simulated
-hour.  A :class:`MarketLattice` instead holds *all* markets' state
-(price, placement score, interruption frequency) in contiguous numpy
-arrays and advances every market per step with a handful of vectorized
-mean-reversion/clamp operations.
+A :class:`MarketLattice` holds a set of markets' state (price,
+placement score, interruption frequency) in contiguous numpy arrays
+and advances every market per step with a handful of vectorized
+mean-reversion/clamp operations.  It is the only code that advances a
+market: the provider steps its whole market book through one lattice,
+and the Figure 2/4 dataset generators step their markets through one.
 
-Determinism is preserved **bit-exactly** relative to the scalar path:
-each market keeps its own named RNG stream, and the lattice prefetches
-noise in blocks with ``Generator.standard_normal(3 * block)`` — numpy
-fills arrays by repeatedly invoking the same per-value ziggurat draw,
-so a block draw consumes the stream identically to ``3 * block`` scalar
-draws.  Row ``k`` of the reshaped block is exactly the (price,
-placement, frequency) triple the scalar path would have drawn on step
-``k``, and the vectorized arithmetic mirrors the scalar expressions'
-association order, so same-seed traces are identical across both paths
-and paired-comparison experiments are unaffected.
+Determinism: each market keeps its own named RNG stream, and a step
+consumes exactly three standard-normal draws from it — price, then
+placement, then frequency.  The lattice prefetches that noise in blocks
+with ``Generator.standard_normal(3 * block)``; numpy fills arrays by
+repeatedly invoking the same per-value ziggurat draw, so a block draw
+consumes the stream exactly like ``3 * block`` single draws, and row
+``k`` of the reshaped block is step ``k``'s (price, placement,
+frequency) triple.  A market's series therefore depends only on its
+seed and its step times — not on the noise block size, the history
+chunk size, or which other markets share the lattice — so same-seed
+traces are identical and paired-comparison experiments see the same
+markets.  ``tests/market_reference.py`` keeps a one-draw-at-a-time
+stepper of the same expressions as the oracle for this guarantee.
 
 History recording is chunked: the lattice appends each step's values
 into preallocated 2-D pending buffers (one column write per observable)
@@ -152,11 +154,11 @@ class MarketLattice:
     """Vectorized state + stepping for a fixed set of spot markets.
 
     On construction the lattice *adopts* the markets: their live state
-    moves into contiguous arrays (each market's observable properties
-    transparently read its lattice slot), and subsequent stepping must
-    go through :meth:`step` / :meth:`warmup` — a scalar
-    ``SpotMarket.step`` on an adopted market raises, because it would
-    draw from an RNG stream the lattice has already prefetched.
+    is copied into contiguous arrays, and every :meth:`step` mirrors
+    the new values back into each market's scalar attributes, so a
+    market's observables are plain attribute reads.  Adopt a market
+    before its first step: the lattice prefetches noise from the
+    market's RNG stream, so a market belongs to one stepping lattice.
 
     Args:
         markets: The markets to adopt (order fixes lattice indices).
@@ -181,7 +183,7 @@ class MarketLattice:
         def gather(read) -> np.ndarray:
             return np.array([read(market) for market in self.markets], dtype=np.float64)
 
-        # Price-process parameters (mirrors SpotPriceProcess.step).
+        # Price-process parameters (see SpotPriceProcess).
         self._price_mean = gather(lambda m: m.price_process.mean)
         self._price_kappa = gather(lambda m: m.price_process._kappa)
         self._price_scale = gather(
@@ -189,7 +191,7 @@ class MarketLattice:
         )
         self._price_floor = gather(lambda m: m.price_process._floor)
         self._price_ceil = gather(lambda m: m.price_process._od_price)
-        # Bounded-walk parameters (mirrors SpotMarket.step).
+        # Bounded-walk parameters (see SpotMarket).
         self._placement_mean = gather(lambda m: m.profile.placement_mean)
         self._placement_vol = gather(lambda m: m.profile.placement_volatility)
         self._freq_mean = gather(lambda m: m.profile.interruption_freq_pct)
@@ -225,22 +227,26 @@ class MarketLattice:
         draws = self._noise_block * DRAWS_PER_STEP
         for index, market in enumerate(self.markets):
             # One block draw consumes the market's stream exactly like
-            # `draws` scalar draws; row k of the reshape is step k's
-            # (price, placement, freq) triple in scalar draw order.
+            # `draws` single draws; row k of the reshape is step k's
+            # (price, placement, freq) triple.
             self._noise[index] = market._rng.standard_normal(draws).reshape(
                 self._noise_block, DRAWS_PER_STEP
             )
         self._noise_cursor = 0
 
     def step(self, now: float) -> None:
-        """Advance every market one interval, bit-equal to scalar steps."""
+        """Advance every market one interval and record the step at *now*.
+
+        Per market: ``x + reversion * (mean - x) + scale * noise``,
+        clamped to the observable's band, evaluated left to right.
+        """
         if self._noise_cursor == self._noise_block:
             self._refill_noise()
         noise = self._noise[:, self._noise_cursor, :]
         self._noise_cursor += 1
 
-        # Expressions mirror the scalar paths' association order so the
-        # float64 arithmetic is bit-identical.
+        # Association order is part of the model: ``(x + drift) + noise``
+        # fixes every float64 bit of the series.
         price = self.price
         price = price + self._price_kappa * (self._price_mean - price) + (
             self._price_scale * noise[:, 0]
@@ -288,8 +294,9 @@ class MarketLattice:
     def warmup(self, steps: int, start_time: float = 0.0) -> None:
         """Step every market *steps* times without an engine.
 
-        Matches ``SpotMarket.warmup`` timing: the markets share one
-        step interval and step at ``start_time + (i + 1) * interval``.
+        The markets share one step interval and step at
+        ``start_time + (i + 1) * interval`` — the times an engine tick
+        every ``interval`` seconds from ``start_time`` would fire.
         """
         intervals = {market.step_interval for market in self.markets}
         if len(intervals) != 1:
@@ -324,24 +331,6 @@ class MarketLattice:
         for market in self.markets:
             market.price_process.history.clear()
             market._metric_history.clear()
-
-    # ------------------------------------------------------------------
-    # Detach
-    # ------------------------------------------------------------------
-    def detach(self) -> None:
-        """Write state back into the markets and release them.
-
-        After detaching, markets step scalar again (their RNG streams
-        resume wherever the lattice's prefetch left them, so a detached
-        market stays self-consistent but is no longer step-for-step
-        comparable with a never-attached one).
-        """
-        self.flush()
-        for index, market in enumerate(self.markets):
-            market.price_process._price = float(self.price[index])
-            market._placement = float(self.placement[index])
-            market._freq = float(self.freq[index])
-            market._detach_lattice()
 
 
 __all__ = [

@@ -8,11 +8,12 @@ six-month series show the regional drift visible in the paper's
 Figure 4, while staying inside their calibrated score band (which keeps
 the Table 3 threshold tiers stable).
 
-Markets step in one of two bit-identical ways: the scalar
-:meth:`SpotMarket.step` below, or adopted into a
-:class:`~repro.cloud.lattice.MarketLattice` that advances every market
-per step with vectorized array operations (the provider's default fast
-path).
+A market holds its calibration, its random stream and the current
+observables; it does not step itself.  A
+:class:`~repro.cloud.lattice.MarketLattice` adopts a set of markets and
+advances all of them per step with vectorized array operations — the
+provider's lattice for simulations, a lattice over the generated markets
+for the Figure 2 and Figure 4 datasets.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.cloud.lattice import (
     FREQ_MIN,
     PLACEMENT_MAX,
     PLACEMENT_MIN,
-    WALK_REVERSION,
     TraceBuffer,
 )
 from repro.cloud.pricing import SpotPriceProcess
@@ -63,6 +63,10 @@ def diurnal_factor(now: float, peak_hour: float, amplitude: float = DIURNAL_AMPL
     return max(0.0, 1.0 + amplitude * math.cos(phase))
 
 
+def _bounded(value: float, lo: float, hi: float) -> float:
+    return min(max(value, lo), hi)
+
+
 class SpotMarket:
     """Live market state for one (region, instance type) pair.
 
@@ -87,12 +91,12 @@ class SpotMarket:
         self.hazard_peak_hour = hazard_peak_hour
         self._rng = rng
         self.price_process = SpotPriceProcess(profile, od_price, rng)
-        self._placement = self._bounded(
+        self._placement = _bounded(
             profile.placement_mean + profile.placement_volatility * rng.standard_normal(),
             PLACEMENT_MIN,
             PLACEMENT_MAX,
         )
-        self._freq = self._bounded(
+        self._freq = _bounded(
             profile.interruption_freq_pct + profile.freq_volatility * rng.standard_normal(),
             FREQ_MIN,
             FREQ_MAX,
@@ -100,8 +104,8 @@ class SpotMarket:
         #: ``(time, placement_score, interruption_freq_pct)`` history,
         #: recorded in a chunked columnar buffer (rows read as tuples).
         self._metric_history = TraceBuffer(3)
-        # Set when a MarketLattice adopts this market; observables then
-        # read the lattice's arrays instead of the scalar attributes.
+        # The MarketLattice that adopts (and steps) this market; it
+        # mirrors fresh state back into the scalar attributes each step.
         self._lattice = None
         self._lattice_index = -1
         # Reclaim bursts hit at market-specific phases so markets are
@@ -123,12 +127,7 @@ class SpotMarket:
     def _attach_lattice(self, lattice, index: int) -> None:
         self._lattice = lattice
         self._lattice_index = index
-        self.price_process._attach_lattice(lattice, index)
-
-    def _detach_lattice(self) -> None:
-        self._lattice = None
-        self._lattice_index = -1
-        self.price_process._detach_lattice()
+        self.price_process._attach_lattice(lattice)
 
     # ------------------------------------------------------------------
     # Observables
@@ -181,9 +180,9 @@ class SpotMarket:
     def force_frequency(self, freq_pct: float) -> None:
         """Override the current Interruption Frequency (scenario/test hook).
 
-        Writes through to the lattice slot when the market is adopted,
-        so the override is honoured on both stepping paths.  The next
-        market step resumes the mean-reverting walk from this value.
+        Writes through to the lattice slot when the market is adopted;
+        the lattice's next step resumes the mean-reverting walk from
+        this value.
         """
         self._freq = float(freq_pct)
         if self._lattice is not None:
@@ -265,50 +264,6 @@ class SpotMarket:
         """Spot price in the region's *az_index*-th AZ (Figure 2 detail)."""
         skew = AZ_PRICE_SKEWS[az_index % len(AZ_PRICE_SKEWS)]
         return self.spot_price * skew
-
-    # ------------------------------------------------------------------
-    # Dynamics
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _bounded(value: float, lo: float, hi: float) -> float:
-        return min(max(value, lo), hi)
-
-    def step(self, now: float) -> None:
-        """Advance price, placement score and frequency one interval."""
-        if self._lattice is not None:
-            raise RuntimeError(
-                "market is adopted by a MarketLattice; step it through the "
-                "lattice (scalar steps would double-consume the prefetched "
-                "noise stream)"
-            )
-        self.price_process.step(now)
-        # Mean-reverting bounded walks.  Reversion keeps each market in
-        # its calibrated band; the noise produces the regional drift of
-        # Figure 4.
-        self._placement = self._bounded(
-            self._placement
-            + WALK_REVERSION * (self.profile.placement_mean - self._placement)
-            + self.profile.placement_volatility * float(self._rng.standard_normal()),
-            PLACEMENT_MIN,
-            PLACEMENT_MAX,
-        )
-        self._freq = self._bounded(
-            self._freq
-            + WALK_REVERSION * (self.profile.interruption_freq_pct - self._freq)
-            + self.profile.freq_volatility * float(self._rng.standard_normal()),
-            FREQ_MIN,
-            FREQ_MAX,
-        )
-        self._metric_history.append((now, self._placement, self._freq))
-
-    def warmup(self, steps: int, start_time: float = 0.0) -> None:
-        """Step the market *steps* times without an engine.
-
-        Used by dataset generators (Figures 2 and 4) that need long
-        series without running a full simulation.
-        """
-        for i in range(steps):
-            self.step(start_time + (i + 1) * self.step_interval)
 
     def price_trace(self) -> Sequence[Tuple[float, float]]:
         """Return the recorded ``(time, price)`` series (read-only view)."""

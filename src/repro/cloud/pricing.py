@@ -70,8 +70,10 @@ class PriceBook:
 class SpotPriceProcess:
     """Discretised mean-reverting spot price for one market.
 
-    The process is stepped at a fixed interval (default one hour) by the
-    owning :class:`~repro.cloud.market.SpotMarket`:
+    The process holds one market's price parameters and history; the
+    :class:`~repro.cloud.lattice.MarketLattice` that adopts the owning
+    :class:`~repro.cloud.market.SpotMarket` steps it at a fixed interval
+    (default one hour):
 
     ``p[t+1] = p[t] + kappa * (mean - p[t]) + sigma * mean * N(0, 1)``
 
@@ -82,7 +84,7 @@ class SpotPriceProcess:
     Args:
         profile: The market's calibration regime.
         od_price: Regional on-demand price (the spot ceiling).
-        rng: Dedicated random stream for this market's price noise.
+        rng: The market's random stream; draws the starting price.
         kappa: Mean-reversion strength per step.
     """
 
@@ -93,9 +95,7 @@ class SpotPriceProcess:
         rng: np.random.Generator,
         kappa: float = 0.15,
     ) -> None:
-        self._profile = profile
         self._od_price = od_price
-        self._rng = rng
         self._kappa = kappa
         self._mean = profile.spot_fraction * od_price
         self._floor = 0.35 * self._mean
@@ -104,18 +104,12 @@ class SpotPriceProcess:
         self._price = self._clamp(self._mean * (1.0 + profile.spot_volatility * rng.standard_normal()))
         #: ``(time, price)`` history in a chunked columnar buffer.
         self.history = TraceBuffer(2)
-        # Set when the owning market is adopted by a MarketLattice; the
-        # current price then lives in the lattice's contiguous arrays.
+        # The MarketLattice that adopts the owning market; it steps the
+        # price and flushes recorded history into ``history``.
         self._lattice = None
-        self._lattice_index = -1
 
-    def _attach_lattice(self, lattice, index: int) -> None:
+    def _attach_lattice(self, lattice) -> None:
         self._lattice = lattice
-        self._lattice_index = index
-
-    def _detach_lattice(self) -> None:
-        self._lattice = None
-        self._lattice_index = -1
 
     @property
     def mean(self) -> float:
@@ -126,21 +120,13 @@ class SpotPriceProcess:
     def current(self) -> float:
         """Current spot price (USD/hour).
 
-        Served from the scalar slot on both stepping paths — an
-        adopted market's lattice mirrors the price back on every step.
+        Served from a plain attribute: the lattice mirrors the price
+        back into it on every step.
         """
         return self._price
 
     def _clamp(self, price: float) -> float:
         return min(max(price, self._floor), self._od_price)
-
-    def step(self, now: float) -> float:
-        """Advance the process one interval; returns the new price."""
-        noise = self._profile.spot_volatility * self._mean * float(self._rng.standard_normal())
-        drift = self._kappa * (self._mean - self._price)
-        self._price = self._clamp(self._price + drift + noise)
-        self.history.append((now, self._price))
-        return self._price
 
     def trace(self) -> Sequence[Tuple[float, float]]:
         """Return the recorded ``(time, price)`` history.

@@ -56,12 +56,6 @@ class CloudProvider:
             Off by default — sampling is pure observation (it never
             feeds back into markets or policies) but costs time on
             large sweeps.
-        vectorized_markets: When true (default), adopt every market
-            into a :class:`~repro.cloud.lattice.MarketLattice` and
-            advance them all per step with vectorized array ops.
-            Bit-identical to the scalar path for the same seed (the
-            lattice prefetches each market's noise from its own RNG
-            stream); turn off to force the scalar reference path.
         tracing: When true, enable cross-service causal tracing on the
             telemetry bundle (``telemetry.tracer``).  Off by default:
             every instrumentation site then reduces to one ``None``
@@ -78,7 +72,6 @@ class CloudProvider:
         seed: int = 0,
         telemetry: Optional[Telemetry] = None,
         observatory: bool = False,
-        vectorized_markets: bool = True,
         tracing: bool = False,
     ) -> None:
         self.engine = engine or SimulationEngine(seed=seed)
@@ -125,9 +118,9 @@ class CloudProvider:
         for market in self._markets.values():
             if market.available:
                 self._markets_by_type.setdefault(market.instance_type, []).append(market)
-        self.lattice: Optional[MarketLattice] = (
-            MarketLattice(list(self._markets.values())) if vectorized_markets else None
-        )
+        # Every market steps through this one lattice (vectorized; each
+        # market draws its noise from its own named stream).
+        self.lattice = MarketLattice(list(self._markets.values()))
         # One engine event per market tick drives both the price step
         # and the observatory sweep — coalesced via the batch variant so
         # attaching more per-tick market work never adds heap traffic.
@@ -181,12 +174,7 @@ class CloudProvider:
         return list(self._markets_by_type.get(instance_type, ()))
 
     def _step_markets(self) -> None:
-        now = self.engine.now
-        if self.lattice is not None:
-            self.lattice.step(now)
-        else:
-            for market in self._markets.values():
-                market.step(now)
+        self.lattice.step(self.engine.now)
 
     def _observe_markets(self) -> None:
         if self.observatory is not None:
@@ -199,15 +187,9 @@ class CloudProvider:
         all start exactly on the calibrated means.  Burn-in history is
         synthetic pre-experiment data and is dropped from the traces.
         """
-        if self.lattice is not None:
-            interval = self.lattice.markets[0].step_interval
-            self.lattice.warmup(steps, start_time=-steps * interval)
-            self.lattice.clear_history()
-            return
-        for market in self._markets.values():
-            market.warmup(steps, start_time=-steps * market.step_interval)
-            market.price_process.history.clear()
-            market.metric_history.clear()
+        interval = self.lattice.markets[0].step_interval
+        self.lattice.warmup(steps, start_time=-steps * interval)
+        self.lattice.clear_history()
 
     # ------------------------------------------------------------------
     # Convenience views

@@ -25,6 +25,7 @@ on-demand, SkyPilot-like — runs through this same controller; only the
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.cloud.provider import CloudProvider
@@ -206,16 +207,22 @@ class FleetController:
         on a deadline hit, stages whose dependencies never completed
         (or that never cleared admission) were never released and do
         not appear.
+
+        Polls land on absolute multiples of *poll_interval* (capped at
+        the deadline), so a run resumed at any time ends on the same
+        poll as the uninterrupted run.
         """
-        deadline = self._engine.now + max_hours * HOUR
+        engine = self._engine
+        deadline = engine.now + max_hours * HOUR
         lifecycle = self._lifecycle
         # ``done`` counts every completion: an O(1) test before the O(N) scan.
         while (
             self._dag.queued()
             or lifecycle.done < len(workloads)
             or not lifecycle.all_done(workloads)
-        ) and self._engine.now < deadline:
-            self._engine.run_until(min(self._engine.now + poll_interval, deadline))
+        ) and engine.now < deadline:
+            next_poll = (math.floor(engine.now / poll_interval) + 1) * poll_interval
+            engine.run_until(min(next_poll, deadline))
         return lifecycle.build_result(workloads)
 
     # ------------------------------------------------------------------

@@ -408,7 +408,18 @@ class MultiTenantController(FleetController):
         rejected the batch (``tenant.throttled`` events are the
         telemetry side of that backpressure); see
         :meth:`~repro.core.fleet.coordinator.DagCoordinator.submit`.
+
+        Raises:
+            ExperimentError: When *tenant_id* is not a string — e.g.
+                the inherited ``run(workloads)``/``run_dags(dags)``,
+                which submit without a tenant.
         """
+        if not isinstance(tenant_id, str):
+            raise ExperimentError(
+                f"tenant_id must be a str, got {type(tenant_id).__name__}: "
+                "a MultiTenantController takes work per tenant — call "
+                "submit(tenant_id, *workloads), then wait()"
+            )
         if tenant_id == DEFAULT_TENANT and not self.registry.has(tenant_id):
             # Single-tenant runs never register anything: the default
             # tenant materialises unlimited on first use.

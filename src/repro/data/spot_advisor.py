@@ -147,9 +147,8 @@ def generate_advisor_dataset(
     streams = RandomStreams(seed)
 
     # Build every market, advance them all together through one
-    # MarketLattice (vectorized, bit-identical to per-market scalar
-    # stepping), then expand the recorded series into daily records in
-    # the same per-profile order as before.
+    # MarketLattice, then expand the recorded series into daily records
+    # in per-profile order.
     markets: List[SpotMarket] = []
     for profile in profiles:
         if wanted is not None and profile.instance_type not in wanted:

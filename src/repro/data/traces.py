@@ -98,9 +98,7 @@ def generate_price_traces(
     steps = int(days * DAY / HOUR)
 
     # Build every market first, then advance them all together through
-    # one MarketLattice — one vectorized pass instead of a scalar walk
-    # per market, bit-identical series either way (each market draws
-    # from its own named stream).
+    # one MarketLattice (each market draws from its own named stream).
     markets: List[SpotMarket] = []
     market_meta = []
     for itype_name in instance_types:

@@ -28,23 +28,22 @@ class SimulationEngine:
 
     Args:
         seed: Master seed for the engine's :class:`RandomStreams`.
-        trace: When true, every fired event is folded into an
-            :class:`~repro.sim.trace.EngineTracer` (:attr:`tracer`):
-            per-label-group callback counts and wall timings.
-        tracer: Install a specific tracer (implies tracing on).
+        tracer: An :class:`~repro.sim.trace.EngineTracer` that every
+            fired event is folded into (per-label-group callback counts
+            and wall timings).  ``None`` — the default — turns tracing
+            off; assign :attr:`tracer` later to switch it on or off.
     """
 
     def __init__(
         self,
         seed: int = 0,
-        trace: bool = False,
         tracer: Optional[EngineTracer] = None,
     ) -> None:
         self._now = 0.0
         self._queue = EventQueue()
         self._running = False
         self.streams = RandomStreams(seed)
-        self.tracer = tracer if tracer is not None else (EngineTracer() if trace else None)
+        self.tracer = tracer
         #: Called with ``(exc, event)`` when a callback raises, before
         #: the exception propagates — the flight recorder's last-gasp
         #: snapshot hook.  ``None`` (the default) keeps :meth:`_fire`
@@ -52,18 +51,6 @@ class SimulationEngine:
         self.error_hook: Optional[Callable[[BaseException, Event], None]] = None
         self._fired_events = 0
         self._tick_hooks: List[Callable[[], None]] = []
-
-    @property
-    def trace(self) -> bool:
-        """Whether event tracing is on."""
-        return self.tracer is not None
-
-    @trace.setter
-    def trace(self, enabled: bool) -> None:
-        if enabled and self.tracer is None:
-            self.tracer = EngineTracer()
-        elif not enabled:
-            self.tracer = None
 
     # ------------------------------------------------------------------
     # Clock

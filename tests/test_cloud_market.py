@@ -10,8 +10,8 @@ from repro.cloud.interruptions import (
     sample_interruption,
     survival_probability,
 )
+from repro.cloud.lattice import MarketLattice
 from repro.cloud.market import PLACEMENT_MAX, PLACEMENT_MIN, SpotMarket
-from repro.cloud.pricing import SpotPriceProcess
 from repro.cloud.profiles import MarketProfile
 from repro.sim.clock import HOUR
 
@@ -22,29 +22,36 @@ def make_profile(**kwargs):
     return MarketProfile(**defaults)
 
 
+def adopted_market(seed, **profile_kwargs):
+    """A standalone market and the one-market lattice that steps it."""
+    market = SpotMarket(
+        profile=make_profile(**profile_kwargs),
+        od_price=1.0,
+        rng=np.random.default_rng(seed),
+    )
+    return market, MarketLattice([market])
+
+
 class TestSpotPriceProcess:
     def test_price_stays_between_floor_and_od(self):
-        process = SpotPriceProcess(
-            make_profile(spot_fraction=0.4, spot_volatility=0.5),
-            od_price=1.0,
-            rng=np.random.default_rng(0),
-        )
+        market, lattice = adopted_market(0, spot_fraction=0.4, spot_volatility=0.5)
         for step in range(500):
-            price = process.step(float(step))
-            assert 0.35 * 0.4 <= price <= 1.0
+            lattice.step(float(step))
+            assert 0.35 * 0.4 <= market.spot_price <= 1.0
 
     def test_long_run_average_near_mean(self):
-        process = SpotPriceProcess(
-            make_profile(spot_fraction=0.4), od_price=1.0, rng=np.random.default_rng(1)
-        )
-        prices = [process.step(float(i)) for i in range(3000)]
+        market, lattice = adopted_market(1, spot_fraction=0.4)
+        prices = []
+        for i in range(3000):
+            lattice.step(float(i))
+            prices.append(market.spot_price)
         assert abs(np.mean(prices) - 0.4) < 0.02
 
     def test_history_records_steps(self):
-        process = SpotPriceProcess(make_profile(), od_price=1.0, rng=np.random.default_rng(2))
-        process.step(10.0)
-        process.step(20.0)
-        trace = process.trace()
+        market, lattice = adopted_market(2)
+        lattice.step(10.0)
+        lattice.step(20.0)
+        trace = market.price_process.trace()
         assert [t for t, _ in trace] == [10.0, 20.0]
 
 
@@ -87,21 +94,22 @@ class TestSpotMarket:
 
     def test_step_appends_metric_history(self):
         market = self.make_market()
-        market.step(HOUR)
-        market.step(2 * HOUR)
+        lattice = MarketLattice([market])
+        lattice.step(HOUR)
+        lattice.step(2 * HOUR)
         assert len(market.metric_history) == 2
         assert market.metric_history[0][0] == HOUR
 
     def test_placement_walk_stays_in_band(self):
         market = self.make_market(placement_mean=4.3, placement_volatility=0.08)
-        market.warmup(2000)
+        MarketLattice([market]).warmup(2000)
         scores = [score for _, score, _ in market.metric_history]
         assert all(PLACEMENT_MIN <= score <= PLACEMENT_MAX for score in scores)
         assert abs(np.mean(scores) - 4.3) < 0.2
 
     def test_frequency_walk_reverts_to_profile_mean(self):
         market = self.make_market(interruption_freq_pct=17.0, freq_volatility=0.5)
-        market.warmup(2000)
+        MarketLattice([market]).warmup(2000)
         freqs = [freq for _, _, freq in market.metric_history]
         assert abs(np.mean(freqs) - 17.0) < 1.0
 
@@ -113,7 +121,7 @@ class TestSpotMarket:
 
     def test_hazard_tracks_current_frequency(self):
         market = self.make_market(interruption_freq_pct=10.0)
-        market.warmup(50)
+        MarketLattice([market]).warmup(50)
         assert market.interruption_hazard_per_hour == pytest.approx(
             market.interruption_frequency * 0.7 / 100.0
         )
@@ -132,15 +140,15 @@ class TestMarketDeterminism:
 
     def test_same_seed_identical_price_trace_and_metrics(self):
         a, b = self.build(123), self.build(123)
-        a.warmup(300)
-        b.warmup(300)
+        MarketLattice([a]).warmup(300)
+        MarketLattice([b]).warmup(300)
         assert list(a.price_trace()) == list(b.price_trace())
         assert a.metric_history == b.metric_history
 
     def test_different_seeds_diverge(self):
         a, b = self.build(123), self.build(124)
-        a.warmup(50)
-        b.warmup(50)
+        MarketLattice([a]).warmup(50)
+        MarketLattice([b]).warmup(50)
         assert list(a.price_trace()) != list(b.price_trace())
 
     def test_provider_market_traces_reproducible_across_builds(self):

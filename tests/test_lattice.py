@@ -1,67 +1,84 @@
-"""Vectorized market lattice: bit-exactness and TraceBuffer semantics."""
+"""Market lattice: bit-exactness against the reference stepper, and
+TraceBuffer semantics.
+
+``tests/market_reference.py`` steps a freshly built provider's markets
+one draw at a time with the original scalar expressions; the lattice
+must reproduce those series bit for bit across engine runs, warmup,
+noise-block refills and history-chunk flushes.
+"""
 
 import numpy as np
 import pytest
 
 from repro.cloud.lattice import MarketLattice, TraceBuffer
+from repro.cloud.market import SpotMarket
+from repro.cloud.profiles import MarketProfile
 from repro.cloud.provider import CloudProvider
-from repro.sim.clock import HOUR
+from repro.sim.clock import DAY, HOUR
+from tests import market_reference
 
 
-def _paired_providers(seed=13, **kwargs):
-    scalar = CloudProvider(seed=seed, vectorized_markets=False, **kwargs)
-    vector = CloudProvider(seed=seed, vectorized_markets=True, **kwargs)
-    return scalar, vector
+def _assert_markets_equal(reference, lattice_provider):
+    for key, reference_market in reference._markets.items():
+        market = lattice_provider._markets[key]
+        assert list(reference_market.price_trace()) == list(market.price_trace()), key
+        assert list(reference_market.metric_history) == list(market.metric_history), key
+        assert reference_market.spot_price == market.spot_price, key
+        assert reference_market.placement_score == market.placement_score, key
+        assert reference_market.interruption_frequency == market.interruption_frequency, key
+        assert reference_market.stability_score == market.stability_score, key
 
 
 def test_vectorized_markets_bit_identical_to_scalar():
-    scalar, vector = _paired_providers()
-    scalar.engine.run_until(50 * HOUR)
+    reference = CloudProvider(seed=13)
+    market_reference.run_markets(reference._markets.values(), 50)
+    vector = CloudProvider(seed=13)
     vector.engine.run_until(50 * HOUR)
-    for key, scalar_market in scalar._markets.items():
-        vector_market = vector._markets[key]
-        assert list(scalar_market.price_trace()) == list(vector_market.price_trace()), key
-        assert list(scalar_market.metric_history) == list(vector_market.metric_history), key
-        assert scalar_market.spot_price == vector_market.spot_price
-        assert scalar_market.placement_score == vector_market.placement_score
-        assert scalar_market.interruption_frequency == vector_market.interruption_frequency
-        assert scalar_market.stability_score == vector_market.stability_score
+    _assert_markets_equal(reference, vector)
 
 
 def test_vectorized_warmup_bit_identical_to_scalar():
-    scalar, vector = _paired_providers()
-    scalar.warmup_markets(30)
+    reference = CloudProvider(seed=13)
+    market_reference.warmup_provider_markets(reference, 30)
+    market_reference.run_markets(reference._markets.values(), 10)
+    vector = CloudProvider(seed=13)
     vector.warmup_markets(30)
-    scalar.engine.run_until(10 * HOUR)
     vector.engine.run_until(10 * HOUR)
-    for key, scalar_market in scalar._markets.items():
-        vector_market = vector._markets[key]
-        assert list(scalar_market.price_trace()) == list(vector_market.price_trace()), key
-        assert scalar_market.interruption_frequency == vector_market.interruption_frequency
+    _assert_markets_equal(reference, vector)
 
 
 def test_lattice_survives_noise_block_boundary():
-    # A tiny prefetch block forces several refills within one run; the
-    # series must stay identical to the scalar reference throughout.
-    scalar, vector = _paired_providers()
-    markets = list(vector._markets.values())
-    for market in markets:
-        market._detach_lattice()
-    small = MarketLattice(markets, noise_block=4, history_chunk=3)
-    vector.lattice = small
-    scalar.engine.run_until(25 * HOUR)
+    # A tiny prefetch block and history chunk force several refills and
+    # flushes within one run; the series must stay identical to the
+    # reference throughout, including a warmup that straddles both.
+    reference = CloudProvider(seed=13)
+    market_reference.warmup_provider_markets(reference, 7)
+    market_reference.run_markets(reference._markets.values(), 25)
+    vector = CloudProvider(seed=13)
+    vector.lattice = MarketLattice(
+        list(vector._markets.values()), noise_block=4, history_chunk=3
+    )
+    vector.warmup_markets(7)
     vector.engine.run_until(25 * HOUR)
-    for key, scalar_market in scalar._markets.items():
-        assert list(scalar_market.price_trace()) == list(
-            vector._markets[key].price_trace()
-        ), key
+    _assert_markets_equal(reference, vector)
 
 
-def test_scalar_step_raises_when_adopted():
-    provider = CloudProvider(seed=3)
-    market = next(iter(provider._markets.values()))
-    with pytest.raises(RuntimeError):
-        market.step(HOUR)
+def test_standalone_lattice_matches_reference_warmup():
+    # The dataset generators' shape: markets outside any provider, one
+    # lattice, daily steps via warmup.
+    def build(seed):
+        return SpotMarket(
+            profile=MarketProfile(region="eu-west-1", instance_type="c5.xlarge"),
+            od_price=0.2,
+            rng=np.random.default_rng(seed),
+            step_interval=DAY,
+        )
+
+    reference, market = build(21), build(21)
+    market_reference.warmup_market(reference, 300, start_time=5.0)
+    MarketLattice([market], noise_block=128, history_chunk=256).warmup(300, start_time=5.0)
+    assert list(reference.price_trace()) == list(market.price_trace())
+    assert list(reference.metric_history) == list(market.metric_history)
 
 
 def test_force_frequency_writes_through_to_lattice():
@@ -71,24 +88,11 @@ def test_force_frequency_writes_through_to_lattice():
     assert market.interruption_frequency == 3000.0
 
 
-def test_detach_resumes_scalar_stepping():
-    provider = CloudProvider(seed=5)
-    provider.engine.run_until(5 * HOUR)
-    market = next(iter(provider._markets.values()))
-    price_before = market.spot_price
-    provider.lattice.detach()
-    provider.lattice = None
-    assert market.spot_price == price_before
-    market.step(6 * HOUR)  # no RuntimeError once detached
-    assert len(market.price_trace()) == 6
-
-
 def test_lattice_requires_markets_and_uniform_interval():
     with pytest.raises(ValueError):
         MarketLattice([])
     provider = CloudProvider(seed=5)
     markets = list(provider._markets.values())
-    provider.lattice.detach()
     markets[0].step_interval = 2 * HOUR
     with pytest.raises(ValueError):
         MarketLattice(markets).warmup(3)

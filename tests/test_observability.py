@@ -31,6 +31,7 @@ from repro.obs import (
 )
 from repro.obs.profiler import HotPathProfile
 from repro.sim.engine import SimulationEngine
+from repro.sim.trace import EngineTracer
 from repro.strategies import OnDemandPolicy, SingleRegionPolicy
 from repro.workloads import genome_reconstruction_workload
 from repro.workloads.base import synthetic_workload
@@ -210,7 +211,7 @@ class TestEngineTracer:
         # depends on the number of groups, never on the event count.
         n_events = 60_000
         warmup = 2_000
-        engine = SimulationEngine(seed=0, trace=True)
+        engine = SimulationEngine(seed=0, tracer=EngineTracer())
         fired = [0]
 
         def step():

@@ -280,50 +280,84 @@ def test_teardown_resume_with_non_empty_admission_queue():
     provider.shutdown()
 
 
+def _lab_quota_run(teardown_at=None, check_before_teardown=None):
+    """Three 0.5 h workloads under a quota-1 tenant, admit_interval 300 s.
+
+    With *teardown_at*, the controller dies at that offset and a new one
+    resumes from the store.  Returns ``(result_to_dict, admissions)``.
+    """
+    provider = CloudProvider(seed=SEED)
+    provider.warmup_markets(24)
+    config, monitor, policy = _plane(provider)
+    controller = MultiTenantController(
+        provider, policy, config, monitor=monitor, admit_interval=300.0
+    )
+    controller.register_tenant(TenantSpec(tenant_id="lab", max_in_flight=1))
+    fleet = [synthetic_workload(f"wl-{i}", 0.5, n_segments=1) for i in range(3)]
+    start = provider.engine.now
+    for workload in fleet:
+        assert controller.submit("lab", workload)
+    if teardown_at is None:
+        result = controller.wait(max_hours=24.0)
+    else:
+        # Place the submitted batch as ``wait`` does, then die.
+        controller.services["dag"].place_submitted()
+        provider.engine.run_until(start + teardown_at)
+        if check_before_teardown is not None:
+            check_before_teardown(provider)
+        store = controller.state_store
+        controller.teardown()
+        controller = MultiTenantController(
+            provider, policy, config, monitor=monitor, state_store=store,
+            admit_interval=300.0,
+        )
+        result = controller.resume(fleet, max_hours=24.0)
+    admitted = [
+        (event.workload_id, event.time - start)
+        for event in provider.telemetry.bus.events(EventType.TENANT_ADMITTED)
+    ]
+    provider.shutdown()
+    return result_to_dict(result), admitted
+
+
 def test_torn_down_round_never_fires_and_resume_is_exact():
     """A round queued just before a teardown is re-armed, not replayed."""
 
-    def run(teardown_at=None):
-        provider = CloudProvider(seed=SEED)
-        provider.warmup_markets(24)
-        config, monitor, policy = _plane(provider)
-        controller = MultiTenantController(
-            provider, policy, config, monitor=monitor, admit_interval=300.0
-        )
-        controller.register_tenant(TenantSpec(tenant_id="lab", max_in_flight=1))
-        fleet = [synthetic_workload(f"wl-{i}", 0.5, n_segments=1) for i in range(3)]
-        start = provider.engine.now
-        for workload in fleet:
-            assert controller.submit("lab", workload)
-        if teardown_at is None:
-            result = controller.wait(max_hours=24.0)
-        else:
-            # Place the submitted batch as ``wait`` does, then die at
-            # *teardown_at*: after wl-0 completed and queued a round,
-            # before that round is due.
-            controller.services["dag"].place_submitted()
-            provider.engine.run_until(start + teardown_at)
-            done = provider.telemetry.bus.events(EventType.WORKLOAD_DONE)
-            assert [event.workload_id for event in done] == ["wl-0"]
-            assert done[0].time + 300.0 > provider.engine.now
-            store = controller.state_store
-            controller.teardown()
-            controller = MultiTenantController(
-                provider, policy, config, monitor=monitor, state_store=store,
-                admit_interval=300.0,
-            )
-            result = controller.resume(fleet, max_hours=24.0)
-        admitted = [
-            (event.workload_id, event.time - start)
-            for event in provider.telemetry.bus.events(EventType.TENANT_ADMITTED)
-        ]
-        provider.shutdown()
-        return result_to_dict(result), admitted
+    def check(provider):
+        # After wl-0 completed and queued a round, before that round is due.
+        done = provider.telemetry.bus.events(EventType.WORKLOAD_DONE)
+        assert [event.workload_id for event in done] == ["wl-0"]
+        assert done[0].time + 300.0 > provider.engine.now
 
-    uninterrupted, admitted = run()
-    resumed, admitted_resumed = run(teardown_at=2100.0)
+    uninterrupted, admitted = _lab_quota_run()
+    resumed, admitted_resumed = _lab_quota_run(
+        teardown_at=2100.0, check_before_teardown=check
+    )
     assert resumed == uninterrupted
     assert admitted_resumed == admitted
+
+
+def test_resume_off_the_poll_grid_ends_on_the_same_poll():
+    # 5000 s is not a multiple of the 300 s poll interval; ``wait``
+    # polls on absolute multiples, so the resumed run still ends on the
+    # 6900 s poll rather than on a grid anchored at the resume time.
+    uninterrupted, admitted = _lab_quota_run()
+    resumed, admitted_resumed = _lab_quota_run(teardown_at=5000.0)
+    assert uninterrupted["ended_at"] == 6900.0
+    assert resumed == uninterrupted
+    assert admitted_resumed == admitted
+
+
+def test_inherited_run_entry_points_name_the_tenant_front_door():
+    provider = CloudProvider(seed=SEED)
+    provider.warmup_markets(24)
+    controller = _controller(provider)
+    workload = synthetic_workload("w", 1.0, n_segments=1)
+    with pytest.raises(ExperimentError, match=r"submit\(tenant_id, \*workloads\)"):
+        controller.run([workload])
+    with pytest.raises(ExperimentError, match=r"submit\(tenant_id, \*workloads\)"):
+        controller.run_dags([_sample_dag()])
+    provider.shutdown()
 
 
 def _sample_dag():
